@@ -7,10 +7,13 @@ unit phasor by the current instantaneous angle increment
     sin_i = sin(w_c dt) cos_{i-1} + cos(w_c dt) sin_{i-1}
 
 seeded at (1, 0), with w_c evaluated at the sample's own time i*dt (left
-endpoint of the sweep law).  The rotation keeps cos**2 + sin**2 pinned to 1
-to rounding error over millions of samples.  The running sum of the angle
-increments is the sweep's accumulated phase; the Bode demodulator uses the
-same sum, so generator and analyzer agree by construction.
+endpoint of the sweep law).  The recursion is evaluated as a running
+complex product of the step phasors cos(w_c dt) + j sin(w_c dt), which
+performs the same multiplies in the same order.  The rotation keeps
+cos**2 + sin**2 pinned to 1 to rounding error over millions of samples.
+The running sum of the angle increments is the sweep's accumulated phase;
+the Bode demodulator uses the same sum, so generator and analyzer agree by
+construction.
 """
 
 from __future__ import annotations
@@ -119,6 +122,11 @@ def instantaneous_frequency(spec: ChirpSpec, t: float) -> float:
         raise ValueError(
             f"t = {t} outside the sweep interval [0, {spec.duration_s}]"
         )
+    return _sweep_law(spec, t)
+
+
+def _sweep_law(spec: ChirpSpec, t):
+    # w_c at a time or at an array of times.
     if spec.kind == "linear":
         return (spec.omega_max - spec.omega_min) / spec.duration_s * t + spec.omega_min
     return spec.omega_min * (spec.omega_max / spec.omega_min) ** (t / spec.duration_s)
@@ -127,13 +135,8 @@ def instantaneous_frequency(spec: ChirpSpec, t: float) -> float:
 def _step_angles(spec: ChirpSpec) -> np.ndarray:
     # Angle increments theta_i = w_c(i*dt)*dt for i = 1 .. N-1; step i
     # rotates sample i-1 into sample i.
-    n = sample_count(spec)
-    t = np.arange(1, n) / spec.sample_rate
-    if spec.kind == "linear":
-        omega = (spec.omega_max - spec.omega_min) / spec.duration_s * t + spec.omega_min
-    else:
-        omega = spec.omega_min * (spec.omega_max / spec.omega_min) ** (t / spec.duration_s)
-    return omega / spec.sample_rate
+    t = np.arange(1, sample_count(spec)) / spec.sample_rate
+    return _sweep_law(spec, t) / spec.sample_rate
 
 
 def chirp_phase(spec: ChirpSpec) -> np.ndarray:
@@ -152,22 +155,12 @@ def chirp_phase(spec: ChirpSpec) -> np.ndarray:
 def chirp_quadrature(spec: ChirpSpec) -> tuple[np.ndarray, np.ndarray]:
     """Unit phasor states (cos_i, sin_i) of the sweep recursion."""
     theta = _step_angles(spec)
-    step_cos = np.cos(theta).tolist()
-    step_sin = np.sin(theta).tolist()
-    n = len(theta) + 1
-    cos_out = np.empty(n)
-    sin_out = np.empty(n)
-    c = 1.0
-    s = 0.0
-    cos_out[0] = c
-    sin_out[0] = s
-    for i in range(1, n):
-        a = step_cos[i - 1]
-        b = step_sin[i - 1]
-        c, s = a * c - b * s, b * c + a * s
-        cos_out[i] = c
-        sin_out[i] = s
-    return cos_out, sin_out
+    steps = np.empty(len(theta) + 1, dtype=complex)
+    steps[0] = 1.0
+    steps.real[1:] = np.cos(theta)
+    steps.imag[1:] = np.sin(theta)
+    states = np.cumprod(steps)
+    return states.real.copy(), states.imag.copy()
 
 
 def generate_chirp(spec: ChirpSpec) -> TimeSeries:

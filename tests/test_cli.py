@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from tustin.cli import main, read_coeff_file, write_coeff_file
-from tustin.discretize import DigitalFilterCoefficients
+from tustin import catalog
+from tustin.cli import first_irregular_sample, main, read_coeff_file, write_coeff_file
+from tustin.discretize import DigitalFilterCoefficients, tustin_horner
 
 
 def run(capsys, *argv):
@@ -444,3 +445,74 @@ def test_pipeline_chirp_filter_bode_compare(capsys, tmp_path, butter_file):
         "--max-db", "0.5", "--max-deg", "5",
     )
     assert code == 0, out
+
+
+# ------------------------------------------------------ catalog families
+
+
+@pytest.mark.parametrize("argv, provenance, tf", [
+    (["lowpass1", "--cutoff-hz", "10"], "lowpass1(cutoff_hz=10.0)",
+     catalog.lowpass1(2.0 * math.pi * 10.0)),
+    (["butter2", "--cutoff-hz", "10"], "butter2(cutoff_hz=10.0)",
+     catalog.butterworth2(2.0 * math.pi * 10.0)),
+    (["notch", "--notch-hz", "60", "--q", "5"], "notch(notch_hz=60.0, q=5.0)",
+     catalog.notch(2.0 * math.pi * 60.0, 5.0)),
+    (["pid", "--kp", "2", "--ki", "0.5", "--kd", "0.1", "--tau", "100"],
+     "pid(kp=2.0, ki=0.5, kd=0.1, tau=100.0)", catalog.pid(2.0, 0.5, 0.1, 100.0)),
+    (["leadlag", "--gain", "10", "--zero-hz", "1", "--pole-hz", "10"],
+     "leadlag(gain=10.0, zero_hz=1.0, pole_hz=10.0)",
+     catalog.leadlag(10.0, 2.0 * math.pi * 1.0, 2.0 * math.pi * 10.0)),
+    (["multiorder"], "multiorder()", catalog.multiorder_example()),
+])
+def test_design_family_table(capsys, tmp_path, argv, provenance, tf):
+    path = tmp_path / "c.json"
+    assert main(["design", *argv, "--rate", "1000", "--out", str(path)]) == 0
+    capsys.readouterr()
+    coeffs, got = read_coeff_file(str(path))
+    assert got == provenance
+    assert coeffs == tustin_horner(tf, 1000.0)
+
+
+def test_design_family_names_the_first_missing_flag(capsys):
+    code, _, err = run(capsys, "design", "pid", "--kp", "1", "--rate", "1000")
+    assert code == 2
+    assert err == "error[ARGS]: family 'pid' requires --ki\n"
+
+
+# ----------------------------------------------------------- time column
+
+
+def write_times_csv(path, times):
+    rows = ["time_s,value"] + [f"{t:.9g},1" for t in times]
+    path.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("kind, bad_time", [("duplicated", 0.049), ("backwards", 0.048)])
+def test_filter_rejects_an_irregular_time_step(capsys, tmp_path, kind, bad_time):
+    # endpoints unchanged, so the rate inferred from them is still 1 kHz
+    times = [i / 1000.0 for i in range(100)]
+    times[50] = bad_time
+    signal = tmp_path / "sig.csv"
+    coeffs = tmp_path / "id.json"
+    write_times_csv(signal, times)
+    write_identity(coeffs)
+    code, _, err = run(
+        capsys, "filter", "--coeffs", str(coeffs), "--input", str(signal)
+    )
+    assert code == 1
+    assert err.startswith("error[INVALID]: ")
+    assert f"sample 50 at t = {bad_time:.9g} s" in err
+
+
+def test_first_irregular_sample_finds_the_first_bad_step():
+    times = np.arange(100) / 1000.0
+    assert first_irregular_sample(times, 1000.0) is None
+    times[50] = times[49]
+    times[70] = times[68]
+    assert first_irregular_sample(times, 1000.0) == 50
+
+
+def test_first_irregular_sample_allows_9_digit_rounding_late_in_a_sweep():
+    # at t ~ 977 s, %.9g keeps 6 decimals: steps of 1/1024 s vary by ~1e-3
+    times = np.array([float(f"{i / 1024.0:.9g}") for i in range(1_000_000, 1_002_001)])
+    assert first_irregular_sample(times, 1024.0) is None
