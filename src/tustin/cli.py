@@ -117,17 +117,40 @@ def read_coeff_file(path: str) -> tuple[DigitalFilterCoefficients, str]:
             raise ValueError(f"{path}: not a valid JSON coefficient file: {exc}")
     if not isinstance(doc, dict) or set(doc) != set(COEFF_FILE_KEYS):
         raise ValueError(
-            f"coefficient file must contain exactly the keys {COEFF_FILE_KEYS}"
+            f"{path}: coefficient file must contain exactly the keys {COEFF_FILE_KEYS}"
         )
+    for key, ok, kind in (
+        ("order", _is(doc["order"], int), "an integer"),
+        ("a_hat", _is_number_list(doc["a_hat"]), "a list of finite numbers"),
+        ("b_hat", _is_number_list(doc["b_hat"]), "a list of finite numbers"),
+        ("loop_rate_hz", _is_number(doc["loop_rate_hz"]), "a finite number"),
+        ("provenance", _is(doc["provenance"], str), "a string"),
+    ):
+        if not ok:
+            raise ValueError(f"{path}: {key!r} must be {kind}, got {doc[key]!r}")
     coeffs = DigitalFilterCoefficients(
         tuple(doc["a_hat"]), tuple(doc["b_hat"]), float(doc["loop_rate_hz"])
     )
-    if coeffs.order != int(doc["order"]):
+    if coeffs.order != doc["order"]:
         raise ValueError(
-            f"coefficient file order {doc['order']} does not match "
+            f"{path}: coefficient file order {doc['order']} does not match "
             f"{len(doc['b_hat'])} b_hat entries"
         )
-    return coeffs, str(doc["provenance"])
+    return coeffs, doc["provenance"]
+
+
+def _is(value: object, types: type | tuple[type, ...]) -> bool:
+    # JSON true/false load as bool, a subclass of int; never a number here
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    # also rejects JSON integers too large for a float
+    return _is(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
+def _is_number_list(value: object) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
 
 
 def first_irregular_sample(times: np.ndarray, rate: float) -> int | None:

@@ -1,9 +1,9 @@
 """Fixed-rate execution of a designed difference equation.
 
 Each tick computes y[0] = b_hat . y_prev + a_hat . x_hist, shifts the new
-input and output into their histories and returns y[0].  Histories live in
-small ring buffers indexed most-recent-first, so a tick is O(order) with no
-per-tick buffer allocation.
+input and output into their histories and returns y[0].  Histories are
+fixed-length deques ordered most-recent-first: a shift register in which
+appending the newest value drops the oldest, so a tick is O(order).
 
 On the very first tick both histories are filled with the first input
 before the normal update runs.  For a unity-DC filter that starts the
@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import deque
+from itertools import repeat
 
-from .discretize import DigitalFilterCoefficients
+from .discretize import DigitalFilterCoefficients, pole_radii
 from .signals import TimeSeries
 
 import numpy as np
@@ -42,8 +44,7 @@ class DigitalFilter:
     coefficients freely, not the filter.
     """
 
-    __slots__ = ("coeffs", "use_startup_heuristic", "first_tick",
-                 "_a", "_b", "_x", "_y", "_xh", "_yh")
+    __slots__ = ("coeffs", "use_startup_heuristic", "first_tick", "_x", "_y")
 
     def __init__(
         self,
@@ -52,34 +53,24 @@ class DigitalFilter:
     ) -> None:
         self.coeffs = coeffs
         self.use_startup_heuristic = bool(use_startup_heuristic)
-        self._a = list(coeffs.a_hat)
-        self._b = list(coeffs.b_hat)
-        self._x = [0.0] * len(self._a)
-        self._y = [0.0] * len(self._b)
-        self._xh = 0
-        self._yh = 0
-        self.first_tick = True
+        self._x = deque(maxlen=len(coeffs.a_hat))
+        self._y = deque(maxlen=len(coeffs.b_hat))
+        self.reset()
 
     @property
     def x_hist(self) -> tuple[float, ...]:
         """Input history, most recent first."""
-        n = len(self._x)
-        return tuple(self._x[(self._xh + k) % n] for k in range(n))
+        return tuple(self._x)
 
     @property
     def y_hist(self) -> tuple[float, ...]:
         """Output history, most recent first (empty for order 0)."""
-        n = len(self._y)
-        return tuple(self._y[(self._yh + k) % n] for k in range(n))
+        return tuple(self._y)
 
     def reset(self) -> None:
         """Zero the histories and re-arm the startup heuristic."""
-        for i in range(len(self._x)):
-            self._x[i] = 0.0
-        for i in range(len(self._y)):
-            self._y[i] = 0.0
-        self._xh = 0
-        self._yh = 0
+        self._x.extend(repeat(0.0, self._x.maxlen))
+        self._y.extend(repeat(0.0, self._y.maxlen))
         self.first_tick = True
 
     def tick(self, x0: float) -> float:
@@ -89,43 +80,22 @@ class DigitalFilter:
             raise ValueError(f"filter input must be finite, got {x0!r}")
         if -_MIN_NORMAL < x0 < _MIN_NORMAL:
             x0 = 0.0
-        a = self._a
-        b = self._b
         x = self._x
         y = self._y
-        nx = len(x)
-        ny = len(y)
         if self.first_tick:
             self.first_tick = False
             if self.use_startup_heuristic:
-                for i in range(nx):
-                    x[i] = x0
-                for i in range(ny):
-                    y[i] = x0
-        h = self._xh - 1
-        if h < 0:
-            h = nx - 1
-        x[h] = x0
-        self._xh = h
+                x.extend(repeat(x0, x.maxlen))
+                y.extend(repeat(x0, y.maxlen))
+        x.appendleft(x0)
+        # Plain left-to-right accumulation: process() and the tests pin
+        # this summation order bitwise, which sum() or a dot would change.
         acc = 0.0
-        i = h
-        for k in range(nx):
-            acc += a[k] * x[i]
-            i += 1
-            if i == nx:
-                i = 0
-        j = self._yh
-        for k in range(ny):
-            acc += b[k] * y[j]
-            j += 1
-            if j == ny:
-                j = 0
-        if ny:
-            g = self._yh - 1
-            if g < 0:
-                g = ny - 1
-            y[g] = acc
-            self._yh = g
+        for ak, xk in zip(self.coeffs.a_hat, x):
+            acc += ak * xk
+        for bk, yk in zip(self.coeffs.b_hat, y):
+            acc += bk * yk
+        y.appendleft(acc)
         return acc
 
 
@@ -137,16 +107,21 @@ def process(
     """Run a fresh filter over a whole series; a fold of tick().
 
     The series must be sampled at the design loop rate (within RATE_RTOL
-    relative), otherwise RateMismatchError is raised.
+    relative), otherwise RateMismatchError is raised.  An output that
+    overflows to inf or nan raises ValueError naming the first such sample
+    and the design's largest z-pole radius.
     """
     if abs(series.sample_rate - coeffs.loop_rate_hz) > RATE_RTOL * coeffs.loop_rate_hz:
         raise RateMismatchError(
             f"series rate {series.sample_rate} Hz != design rate "
             f"{coeffs.loop_rate_hz} Hz"
         )
-    filt = DigitalFilter(coeffs, use_startup_heuristic)
-    tick = filt.tick
-    out = np.empty(len(series))
-    for i, v in enumerate(series.samples.tolist()):
-        out[i] = tick(v)
+    tick = DigitalFilter(coeffs, use_startup_heuristic).tick
+    out = np.fromiter(map(tick, series.samples.tolist()), np.float64, len(series))
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise ValueError(
+            f"filter output is not finite from sample {finite.argmin()} on; "
+            f"largest z-pole radius {max(pole_radii(coeffs), default=0.0):.6g}"
+        )
     return TimeSeries(series.sample_rate, out, series.t0)

@@ -289,6 +289,54 @@ def test_broken_coeff_files_rejected(capsys, tmp_path):
     assert code == 1
 
 
+BUTTER2_FILE = {
+    "order": 2,
+    "a_hat": [9.4e-04, 1.9e-03, 9.4e-04],
+    "b_hat": [1.9, -0.915],
+    "loop_rate_hz": 1000.0,
+    "provenance": "butter2(cutoff_hz=10.0)",
+}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("order", None),
+    ("loop_rate_hz", None),
+    ("a_hat", 5),
+    ("a_hat", [None, 1.0, 2.0]),
+    ("order", 2.7),
+    ("loop_rate_hz", "1000"),
+    ("loop_rate_hz", True),
+    ("loop_rate_hz", 10**400),
+])
+def test_coeff_file_value_types_checked(capsys, tmp_path, key, value):
+    signal = tmp_path / "sig.csv"
+    make_constant_csv(signal)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**BUTTER2_FILE, key: value}))
+    for argv in (
+        ["filter", "--coeffs", str(path), "--input", str(signal)],
+        ["bode", "--method", "analytic-digital", "--coeffs", str(path)],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error[INVALID]: {path}: {key!r} must be ")
+
+
+def test_filter_names_where_an_unstable_design_diverged(capsys, tmp_path):
+    signal = tmp_path / "sig.csv"
+    make_constant_csv(signal, value=1e10, n=5000)
+    path = tmp_path / "c.json"
+    write_coeff_file(
+        str(path), DigitalFilterCoefficients((1.0, 0.0), (1.5,), 1000.0), "unstable"
+    )
+    code, _, err = run(capsys, "filter", "--coeffs", str(path), "--input", str(signal))
+    assert code == 1
+    assert err == (
+        "error[INVALID]: filter output is not finite from sample 1691 on; "
+        "largest z-pole radius 1.5\n"
+    )
+
+
 # ------------------------------------------------------------------- bode
 
 

@@ -1,15 +1,19 @@
 """Property tests: the vectorized sweep and response evaluator against the
-plain algorithms they replace."""
+plain algorithms they replace, and the runtime against its difference
+equation written out term by term."""
 
 import cmath
 import math
+import sys
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tustin import ContinuousTransferFunction, bode_digital, tustin_horner
-from tustin.signals import ChirpSpec, _step_angles, chirp_quadrature
+from tustin.discretize import DigitalFilterCoefficients
+from tustin.runtime import DigitalFilter, process
+from tustin.signals import ChirpSpec, TimeSeries, _step_angles, chirp_quadrature
 
 # ------------------------------------------------------------ chirp sweep
 
@@ -104,3 +108,68 @@ def test_bode_digital_matches_sum_of_powers(coeffs):
     ])
     want = np.array([sum_of_powers_response(coeffs, 2.0 * math.pi * f) for f in freqs])
     assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+
+# ------------------------------------------------------- runtime tick
+
+
+def difference_equation(coeffs, xs, heuristic, reset_at):
+    # Histories as most-recent-first lists; acc = 0.0, then a[k]*x[k] and
+    # b[k]*y[k] added one at a time in index order.  Inputs of magnitude
+    # below the smallest normal are flushed to 0.0.
+    a, b = coeffs.a_hat, coeffs.b_hat
+    out = []
+    for i, v in enumerate(xs):
+        if i == 0 or i == reset_at:
+            x, y, first = [0.0] * len(a), [0.0] * len(b), True
+        if -sys.float_info.min < v < sys.float_info.min:
+            v = 0.0
+        if first:
+            first = False
+            if heuristic:
+                x, y = [v] * len(a), [v] * len(b)
+        x = [v] + x[:-1]
+        acc = 0.0
+        for k in range(len(a)):
+            acc += a[k] * x[k]
+        for k in range(len(b)):
+            acc += b[k] * y[k]
+        y = ([acc] + y)[:len(b)]
+        out.append(acc)
+    return out, tuple(x), tuple(y)
+
+
+@st.composite
+def filter_runs(draw):
+    order = draw(st.integers(0, 12))
+    a = draw(st.lists(st.floats(-10.0, 10.0), min_size=order + 1, max_size=order + 1))
+    # sum |b_hat| < 1 keeps every run bounded, so outputs stay finite
+    bound = 0.99 / max(order, 1)
+    b = draw(st.lists(st.floats(-bound, bound), min_size=order, max_size=order))
+    sample = st.one_of(
+        st.floats(-1e3, 1e3),
+        st.sampled_from([0.0, -0.0, 1e-310, -1e-310, 5e-324, -5e-324,
+                         sys.float_info.min, -sys.float_info.min]),
+    )
+    xs = draw(st.lists(sample, min_size=1, max_size=200))
+    heuristic = draw(st.booleans())
+    reset_at = draw(st.integers(0, len(xs)))
+    return DigitalFilterCoefficients(a, b, 1000.0), xs, heuristic, reset_at
+
+
+@settings(deadline=None)
+@given(filter_runs())
+def test_tick_and_process_are_the_difference_equation_bitwise(run):
+    coeffs, xs, heuristic, reset_at = run
+    f = DigitalFilter(coeffs, heuristic)
+    got = []
+    for i, v in enumerate(xs):
+        if i == reset_at:
+            f.reset()
+        got.append(f.tick(v))
+    want, x_want, y_want = difference_equation(coeffs, xs, heuristic, reset_at)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert (f.x_hist, f.y_hist) == (x_want, y_want)
+    whole = process(coeffs, TimeSeries(1000.0, xs), heuristic)
+    once, _, _ = difference_equation(coeffs, xs, heuristic, None)
+    assert whole.samples.tobytes() == np.array(once).tobytes()

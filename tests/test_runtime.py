@@ -187,3 +187,19 @@ def test_ring_buffer_matches_naive_shift_register(heuristic):
             got = fast.tick(x)
             want = slow.tick(x)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("coeffs, index, radius", [
+    # y = 1.5 y_prev + x overflows float64 after ~1691 ticks of 1e10
+    (DigitalFilterCoefficients((1.0, 0.0), (1.5,), 1000.0), 1691, "1.5"),
+    # order 0 has no poles; the very first product overflows
+    (DigitalFilterCoefficients((1e300,), (), 1000.0), 0, "0"),
+])
+def test_process_names_the_first_non_finite_output(coeffs, index, radius):
+    series = TimeSeries(1000.0, np.full(5000, 1e10))
+    with pytest.raises(ValueError) as info:
+        process(coeffs, series)
+    assert str(info.value) == (
+        f"filter output is not finite from sample {index} on; "
+        f"largest z-pole radius {radius}"
+    )
