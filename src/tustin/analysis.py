@@ -6,6 +6,10 @@ Three independent views of the same filter are available:
 * analytic digital response of the difference equation on the unit circle,
 * measured responses, by stepped-sine fitting or by demodulating a chirp.
 
+The measured views know their input exactly, so they fit only the filter
+output, by least squares against the generator's own sine: the stepped
+probe itself, or the chirp's phasor states (sin_i, cos_i).
+
 Because the design applies no prewarping, the digital response at angular
 frequency w equals the continuous response at 2*f_l*tan(w*dt/2); curves are
 expected to diverge near the Nyquist frequency and agree well below it.
@@ -19,6 +23,7 @@ zeros are -inf in memory and clamp to -300 dB in files.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -27,7 +32,7 @@ import numpy as np
 from .discretize import ContinuousTransferFunction, DigitalFilterCoefficients
 from .csvio import read_csv, write_csv
 from .runtime import process
-from .signals import ChirpSpec, chirp_phase, generate_chirp, generate_sine
+from .signals import ChirpSpec, TimeSeries, chirp_phase, chirp_quadrature, generate_sine
 
 BODE_CSV_HEADER = "freq_hz,magnitude_db,phase_deg"
 
@@ -181,23 +186,25 @@ def bode_digital(
 
 
 def _fit_quadrature(
-    sin_ref: np.ndarray, cos_ref: np.ndarray, u: np.ndarray
-) -> complex:
+    sin_ref: np.ndarray, cos_ref: np.ndarray, u: np.ndarray, edges: Sequence[int]
+) -> np.ndarray:
     # Least-squares fit u ~ p*sin_ref + q*cos_ref via the 2x2 normal
-    # equations; returns p + jq.  Solving exactly (instead of summing
+    # equations on each window [edges[0], edges[1]), [edges[2], edges[3]),
+    # ...; with an odd count the last window runs to the end.  Returns
+    # p + jq per window.  Solving exactly (instead of summing
     # u*exp(-j*phase)) removes the second-harmonic leakage of short
-    # windows.
-    sss = float(sin_ref @ sin_ref)
-    scc = float(cos_ref @ cos_ref)
-    ssc = float(sin_ref @ cos_ref)
-    us = float(u @ sin_ref)
-    uc = float(u @ cos_ref)
+    # windows.  Each sum is its own reduceat segment: a difference of
+    # running sums would cancel away a stopband's or a notch's few digits.
+    terms = np.stack([sin_ref * sin_ref, cos_ref * cos_ref, sin_ref * cos_ref,
+                      u * sin_ref, u * cos_ref])
+    sss, scc, ssc, us, uc = np.add.reduceat(terms, edges, axis=1)[:, ::2]
     det = sss * scc - ssc * ssc
-    if det <= 0.0:
+    if np.any(det <= 0.0):
         raise ValueError("degenerate demodulation window")
-    p = (scc * us - ssc * uc) / det
-    q = (sss * uc - ssc * us) / det
-    return complex(p, q)
+    fit = np.empty(det.shape, dtype=complex)
+    fit.real = (scc * us - ssc * uc) / det
+    fit.imag = (sss * uc - ssc * us) / det
+    return fit
 
 
 def stepped_sine_bode(
@@ -247,10 +254,10 @@ def stepped_sine_bode(
         series = generate_sine(f, 1.0, 0.0, duration, rate)
         out = process(coeffs, series)
         i0 = int(round(settle_cycles / f * rate))
-        t = series.times[i0:]
-        w = 2.0 * math.pi * f
+        # A unit sine with no offset is its own sine reference.
+        cos_ref = np.cos(2.0 * math.pi * f * series.times[i0:])
         responses.append(
-            _fit_quadrature(np.sin(w * t), np.cos(w * t), out.samples[i0:])
+            _fit_quadrature(series.samples[i0:], cos_ref, out.samples[i0:], [0])[0]
         )
     return _to_points(freqs, responses)
 
@@ -263,59 +270,49 @@ def chirp_bode(
 ) -> list[FrequencyResponsePoint]:
     """Measure the response in one pass by demodulating a chirp.
 
-    The chirp is filtered once; input and output are then demodulated
-    against the generator's own accumulated phase over a sliding window
-    spanning ``window_cycles`` of that phase, hopping by ``hop_cycles``.
-    The amplitude ratio gives the magnitude, the phase difference the
-    phase, one point per hop at the window's average frequency.  Windows
-    that would run past the end of the sweep are dropped, not padded.
+    The chirp A*sin_i (A = ``spec.amplitude``) is filtered once.  The output alone is demodulated,
+    against the generator's own phasor states (sin_i, cos_i), over sliding
+    windows spanning ``window_cycles`` of the accumulated phase and hopping
+    by ``hop_cycles``; the input is known exactly, so the fit divided by A
+    is the response, one point per window at the window's average
+    frequency.  Windows that would run past the end of the sweep are
+    dropped, not padded, and so are windows of fewer than 4 samples.
 
-    The sweep must cover at least two decades and be sampled at the
-    filter's design rate; :func:`~tustin.runtime.process` raises
-    RateMismatchError otherwise.
+    The sweep must cover at least two decades, have an amplitude of at
+    least the smallest normal float in magnitude (the filter flushes
+    smaller inputs to zero) and be sampled at the filter's design rate;
+    :func:`~tustin.runtime.process` raises RateMismatchError otherwise.
     """
     if spec.omega_max < 100.0 * spec.omega_min:
         raise ValueError("sweep must cover at least two decades")
-    if spec.amplitude == 0.0:
-        raise ValueError("chirp amplitude must be nonzero")
+    if abs(spec.amplitude) < sys.float_info.min:
+        raise ValueError(
+            f"chirp amplitude must be at least {sys.float_info.min!r} in magnitude "
+            f"(the filter flushes smaller inputs to zero), got {spec.amplitude!r}"
+        )
     if window_cycles <= 0.0 or hop_cycles <= 0.0:
         raise ValueError("window_cycles and hop_cycles must be positive")
-    x = generate_chirp(spec)
-    y = process(coeffs, x)
+    cos_states, sin_states = chirp_quadrature(spec)
+    y = process(coeffs, TimeSeries(spec.sample_rate, spec.amplitude * sin_states))
     phase = chirp_phase(spec)
-    sin_ref = np.sin(phase)
-    cos_ref = np.cos(phase)
-    xs = x.samples
-    ys = y.samples
-    dt = 1.0 / spec.sample_rate
-    total_phase = float(phase[-1])
     window_span = 2.0 * math.pi * window_cycles
     hop_span = 2.0 * math.pi * hop_cycles
-    freqs: list[float] = []
-    ratios: list[complex] = []
-    w = 0
-    while True:
-        start = w * hop_span
-        end = start + window_span
-        if end > total_phase:
-            break
-        i0 = int(np.searchsorted(phase, start, side="left"))
-        i1 = int(np.searchsorted(phase, end, side="left"))
-        w += 1
-        if i1 - i0 < 4:
-            continue
-        sl = slice(i0, i1)
-        cx = _fit_quadrature(sin_ref[sl], cos_ref[sl], xs[sl])
-        cy = _fit_quadrature(sin_ref[sl], cos_ref[sl], ys[sl])
-        if cx == 0.0:
-            continue
-        span = float(phase[i1 - 1] - phase[i0])
-        elapsed = (i1 - 1 - i0) * dt
-        freqs.append(span / elapsed / (2.0 * math.pi))
-        ratios.append(cy / cx)
-    if not freqs:
+    # One window more than fit, so rounding cannot lose the last one.
+    starts = np.arange((phase[-1] - window_span) // hop_span + 2.0) * hop_span
+    ends = starts + window_span
+    i0 = np.searchsorted(phase, starts, side="left")
+    i1 = np.searchsorted(phase, ends, side="left")
+    keep = (ends <= phase[-1]) & (i1 - i0 >= 4)
+    i0, i1 = i0[keep], i1[keep]
+    if not i0.size:
         raise ValueError("sweep too short: no demodulation window fits")
-    return _to_points(freqs, ratios)
+    # Every kept window ends at or before the last sample (end <= phase[-1]),
+    # so the interleaved edges are valid reduceat indices.
+    edges = np.column_stack([i0, i1]).ravel()
+    fit = _fit_quadrature(sin_states, cos_states, y.samples, edges)
+    elapsed = (i1 - 1 - i0) * (1.0 / spec.sample_rate)
+    freqs = (phase[i1 - 1] - phase[i0]) / elapsed / (2.0 * math.pi)
+    return _to_points(freqs, fit / spec.amplitude)
 
 
 def compare_responses(

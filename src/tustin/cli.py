@@ -42,7 +42,7 @@ from .discretize import (
     tustin_horner,
 )
 from .runtime import RateMismatchError, process
-from .signals import ChirpSpec, TimeSeries, generate_chirp
+from .signals import CHIRP_KINDS, ChirpSpec, TimeSeries, generate_chirp
 from .tfparse import TfSyntaxError, canonical_text, parse_coeff_lists, parse_expression
 
 SERIES_CSV_HEADER = "time_s,value"
@@ -361,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("chirp", help="generate a frequency sweep CSV")
-    p.add_argument("--kind", choices=["linear", "exponential"], default="exponential")
+    p.add_argument("--kind", choices=CHIRP_KINDS, default="exponential")
     p.add_argument("--fmin-hz", type=float, required=True)
     p.add_argument("--fmax-hz", type=float, required=True)
     p.add_argument("--duration", type=float, required=True, help="sweep length, s")
@@ -392,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="log-spaced grid size (analytic/stepped methods)")
     p.add_argument("--settle-cycles", type=int, default=20)
     p.add_argument("--measure-cycles", type=int, default=5)
-    p.add_argument("--kind", choices=["linear", "exponential"], default="exponential",
+    p.add_argument("--kind", choices=CHIRP_KINDS, default="exponential",
                    help="sweep law (chirp method)")
     p.add_argument("--duration", type=float, default=120.0,
                    help="sweep length, s (chirp method)")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from itertools import repeat
+from itertools import repeat, takewhile
 
 from .discretize import DigitalFilterCoefficients, pole_radii
 from .signals import TimeSeries
@@ -44,18 +44,23 @@ class DigitalFilter:
     coefficients freely, not the filter.
     """
 
-    __slots__ = ("coeffs", "use_startup_heuristic", "first_tick", "_x", "_y")
+    __slots__ = ("_coeffs", "use_startup_heuristic", "first_tick", "_x", "_y")
 
     def __init__(
         self,
         coeffs: DigitalFilterCoefficients,
         use_startup_heuristic: bool = True,
     ) -> None:
-        self.coeffs = coeffs
+        self._coeffs = coeffs
         self.use_startup_heuristic = bool(use_startup_heuristic)
         self._x = deque(maxlen=len(coeffs.a_hat))
         self._y = deque(maxlen=len(coeffs.b_hat))
         self.reset()
+
+    @property
+    def coeffs(self) -> DigitalFilterCoefficients:
+        """The design this filter runs; read-only, its order sizes the histories."""
+        return self._coeffs
 
     @property
     def x_hist(self) -> tuple[float, ...]:
@@ -91,9 +96,9 @@ class DigitalFilter:
         # Plain left-to-right accumulation: process() and the tests pin
         # this summation order bitwise, which sum() or a dot would change.
         acc = 0.0
-        for ak, xk in zip(self.coeffs.a_hat, x):
+        for ak, xk in zip(self._coeffs.a_hat, x):
             acc += ak * xk
-        for bk, yk in zip(self.coeffs.b_hat, y):
+        for bk, yk in zip(self._coeffs.b_hat, y):
             acc += bk * yk
         y.appendleft(acc)
         return acc
@@ -108,8 +113,8 @@ def process(
 
     The series must be sampled at the design loop rate (within RATE_RTOL
     relative), otherwise RateMismatchError is raised.  An output that
-    overflows to inf or nan raises ValueError naming the first such sample
-    and the design's largest z-pole radius.
+    overflows to inf or nan stops the run and raises ValueError naming that
+    sample and the design's largest z-pole radius.
     """
     if abs(series.sample_rate - coeffs.loop_rate_hz) > RATE_RTOL * coeffs.loop_rate_hz:
         raise RateMismatchError(
@@ -117,11 +122,12 @@ def process(
             f"{coeffs.loop_rate_hz} Hz"
         )
     tick = DigitalFilter(coeffs, use_startup_heuristic).tick
-    out = np.fromiter(map(tick, series.samples.tolist()), np.float64, len(series))
-    finite = np.isfinite(out)
-    if not finite.all():
+    out = np.fromiter(
+        takewhile(math.isfinite, map(tick, series.samples.tolist())), np.float64
+    )
+    if len(out) < len(series):
         raise ValueError(
-            f"filter output is not finite from sample {finite.argmin()} on; "
+            f"filter output is not finite from sample {len(out)} on; "
             f"largest z-pole radius {max(pole_radii(coeffs), default=0.0):.6g}"
         )
     return TimeSeries(series.sample_rate, out, series.t0)

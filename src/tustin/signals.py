@@ -11,9 +11,10 @@ endpoint of the sweep law).  The recursion is evaluated as a running
 complex product of the step phasors cos(w_c dt) + j sin(w_c dt), which
 performs the same multiplies in the same order.  The rotation keeps
 cos**2 + sin**2 pinned to 1 to rounding error over millions of samples.
-The running sum of the angle increments is the sweep's accumulated phase;
-the Bode demodulator uses the same sum, so generator and analyzer agree by
-construction.
+The running sum of the angle increments is the sweep's accumulated phase.
+The Bode demodulator places its windows on that phase and fits against the
+phasor states themselves, so generator and analyzer share the very same
+sine, not a recomputed sin(phase).
 """
 
 from __future__ import annotations

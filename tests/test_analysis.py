@@ -208,6 +208,8 @@ def test_chirp_validation():
         chirp_bode(LOWPASS, chirp(fmin=1.0, fmax=50.0))  # under two decades
     with pytest.raises(ValueError):
         chirp_bode(LOWPASS, chirp(amp=0.0))
+    with pytest.raises(ValueError, match="smaller inputs to zero"):
+        chirp_bode(LOWPASS, chirp(amp=-1e-310))
     with pytest.raises(RateMismatchError):
         chirp_bode(LOWPASS, chirp(rate=999.0))
     with pytest.raises(ValueError):

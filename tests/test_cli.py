@@ -404,6 +404,16 @@ def test_bode_chirp_runs(capsys, tmp_path, butter_file):
     assert freqs == sorted(freqs)
 
 
+def test_bode_chirp_rejects_a_subnormal_amplitude(capsys, butter_file):
+    code, _, err = run(
+        capsys, "bode", "--method", "chirp", "--coeffs", str(butter_file),
+        "--duration", "30", "--amplitude", "1e-310",
+    )
+    assert code == 1
+    assert err.startswith("error[INVALID]: chirp amplitude must be at least ")
+    assert err.endswith("got 1e-310\n")
+
+
 def test_bode_digital_methods_need_coeffs(capsys):
     code, _, err = run(
         capsys, "bode", "--method", "stepped", "--fmin-hz", "1", "--fmax-hz", "10"

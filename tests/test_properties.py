@@ -1,19 +1,27 @@
-"""Property tests: the vectorized sweep and response evaluator against the
-plain algorithms they replace, and the runtime against its difference
-equation written out term by term."""
+"""Property tests: the vectorized sweep, response evaluator and chirp
+demodulator against the plain algorithms they replace, and the runtime
+against its difference equation written out term by term."""
 
 import cmath
 import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tustin import ContinuousTransferFunction, bode_digital, tustin_horner
+from tustin import ContinuousTransferFunction, bode_digital, chirp_bode, tustin_horner
 from tustin.discretize import DigitalFilterCoefficients
 from tustin.runtime import DigitalFilter, process
-from tustin.signals import ChirpSpec, TimeSeries, _step_angles, chirp_quadrature
+from tustin.signals import (
+    ChirpSpec,
+    TimeSeries,
+    _step_angles,
+    chirp_phase,
+    chirp_quadrature,
+    generate_chirp,
+)
 
 # ------------------------------------------------------------ chirp sweep
 
@@ -108,6 +116,66 @@ def test_bode_digital_matches_sum_of_powers(coeffs):
     ])
     want = np.array([sum_of_powers_response(coeffs, 2.0 * math.pi * f) for f in freqs])
     assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+
+# ------------------------------------------------------ chirp demodulation
+
+
+def chirp_bode_per_window(coeffs, spec, window_cycles, hop_cycles):
+    # One window at a time: fit input and output by lstsq against sin and
+    # cos of the accumulated phase; the response is the ratio of the fits.
+    x = generate_chirp(spec).samples
+    y = process(coeffs, TimeSeries(spec.sample_rate, x)).samples
+    phase = chirp_phase(spec)
+    ref = np.column_stack([np.sin(phase), np.cos(phase)])
+    window = 2.0 * math.pi * window_cycles
+    hop = 2.0 * math.pi * hop_cycles
+    freqs, ratios = [], []
+    k = 0
+    while k * hop + window <= phase[-1]:
+        i0 = int(np.searchsorted(phase, k * hop))
+        i1 = int(np.searchsorted(phase, k * hop + window))
+        k += 1
+        if i1 - i0 < 4:
+            continue
+        (px, qx), (py, qy) = (
+            np.linalg.lstsq(ref[i0:i1], u[i0:i1], rcond=None)[0] for u in (x, y)
+        )
+        elapsed = (i1 - 1 - i0) * (1.0 / spec.sample_rate)
+        freqs.append((phase[i1 - 1] - phase[i0]) / elapsed / (2.0 * math.pi))
+        ratios.append(complex(py, qy) / complex(px, qx))
+    return freqs, np.array(ratios)
+
+
+@st.composite
+def chirp_measurements(draw):
+    # at least the two decades chirp_bode asks for, below 0.45 * RATE
+    fmin = math.exp(draw(st.floats(math.log(0.2), math.log(4.0))))
+    fmax = fmin * 10.0 ** draw(st.floats(2.01, math.log10(0.45 * RATE / fmin)))
+    kind = draw(st.sampled_from(["linear", "exponential"]))
+    amplitude = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    duration = draw(st.integers(500, 4000)) / RATE
+    spec = ChirpSpec(kind, 2.0 * math.pi * fmin, 2.0 * math.pi * fmax, duration,
+                     amplitude, RATE)
+    return spec, draw(st.floats(0.25, 8.0)), draw(st.floats(0.25, 4.0))
+
+
+@settings(deadline=None, max_examples=50)
+@given(stable_designs(), chirp_measurements())
+def test_chirp_bode_matches_a_per_window_fit(coeffs, measurement):
+    spec, window_cycles, hop_cycles = measurement
+    freqs, want = chirp_bode_per_window(coeffs, spec, window_cycles, hop_cycles)
+    if not freqs:
+        with pytest.raises(ValueError, match="no demodulation window fits"):
+            chirp_bode(coeffs, spec, window_cycles, hop_cycles)
+        return
+    points = chirp_bode(coeffs, spec, window_cycles, hop_cycles)
+    assert np.array([p.freq_hz for p in points]).tobytes() == np.array(freqs).tobytes()
+    got = np.array([
+        10.0 ** (p.magnitude_db / 20.0) * cmath.exp(1j * math.radians(p.phase_deg))
+        for p in points
+    ])
+    assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want).max())
 
 
 # ------------------------------------------------------- runtime tick

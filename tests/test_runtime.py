@@ -203,3 +203,25 @@ def test_process_names_the_first_non_finite_output(coeffs, index, radius):
         f"filter output is not finite from sample {index} on; "
         f"largest z-pole radius {radius}"
     )
+
+
+def test_process_stops_ticking_at_the_first_non_finite_output(monkeypatch):
+    calls = []
+    tick = DigitalFilter.tick
+
+    def counting_tick(self, x0):
+        calls.append(x0)
+        return tick(self, x0)
+
+    monkeypatch.setattr(DigitalFilter, "tick", counting_tick)
+    coeffs = DigitalFilterCoefficients((1.0, 0.0), (1.5,), 1000.0)
+    with pytest.raises(ValueError, match="from sample 1691 on"):
+        process(coeffs, TimeSeries(1000.0, np.full(5000, 1e10)))
+    assert len(calls) == 1692
+
+
+def test_coeffs_are_read_only():
+    f = DigitalFilter(BUTTER)
+    with pytest.raises(AttributeError):
+        f.coeffs = IDENTITY
+    assert f.coeffs is BUTTER
