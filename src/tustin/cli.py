@@ -324,16 +324,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _add_tf_source_arguments(p: argparse.ArgumentParser, with_family: bool) -> None:
-    if with_family:
-        p.add_argument(
-            "family",
-            nargs="?",
-            choices=list(FAMILIES),
-            help="catalog filter family (omit when using --tf or --num/--den)",
-        )
     p.add_argument("--tf", help="transfer function expression, e.g. '1/(10s+1)'")
     p.add_argument("--num", help="descending numerator coefficients, e.g. '1'")
     p.add_argument("--den", help="descending denominator coefficients, e.g. '10,1'")
+    if not with_family:
+        return
+    p.add_argument(
+        "family",
+        nargs="?",
+        choices=list(FAMILIES),
+        help="catalog filter family (omit when using --tf or --num/--den)",
+    )
     p.add_argument("--cutoff-hz", type=float, help="lowpass1/butter2 corner, Hz")
     p.add_argument("--notch-hz", type=float, help="notch center, Hz")
     p.add_argument("--q", type=float, help="notch quality factor")

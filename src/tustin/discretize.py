@@ -10,8 +10,10 @@ Two independent routes are provided.  :func:`tustin_horner` is the
 production path: a stepwise polynomial pipeline (divide out s**n,
 substitute, shift, reverse, scale, shift back) that only ever touches one
 polynomial at a time.  :func:`tustin_direct` expands the substitution by
-brute force with polynomial products.  They agree to rounding error and
-cross-check each other in the test suite.
+brute force: numpy expands each product (z - 1)**(n-k) * (z + 1)**k from
+its roots +1 and -1.  Only the substitution differs; the rate check, the
+padding and the normalization are shared.  The routes agree to rounding
+error and cross-check each other in the test suite.
 
 No frequency prewarping is applied: the digital response at angular
 frequency w equals the continuous response at the warped frequency
@@ -25,24 +27,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .polynomial import (
-    Polynomial,
-    add,
-    multiply,
-    power,
-    reverse_coefficients,
-    scale_argument,
-    taylor_shift,
-)
+from .polynomial import Polynomial, reverse_coefficients, scale_argument, taylor_shift
 
-# A leading z-domain denominator coefficient below this fraction of the
-# largest denominator coefficient means the map collapsed the filter order
-# (the continuous denominator has a root at s = 2*f_l) and no meaningful
-# normalization exists.
+# A leading z-domain denominator coefficient not above this fraction of
+# the largest denominator coefficient means the map collapsed the filter
+# order (the continuous denominator has a root at s = 2*f_l) and no
+# meaningful normalization exists.
 DEGENERACY_RTOL = 1e-12
 
 
@@ -101,10 +95,6 @@ class ContinuousTransferFunction:
         """Denominator degree n; the order of the designed filter."""
         return self.denominator.declared_order
 
-    @property
-    def numerator_order(self) -> int:
-        return self.numerator.declared_order
-
     def dc_gain(self) -> float:
         """H(0), the ratio of the two constant coefficients.
 
@@ -160,7 +150,7 @@ def normalize(
     Returns a_hat (scaled numerator, descending) and b_hat (negated scaled
     denominator tail, coefficients of z**(n-1) ... z**0).  Raises
     DegenerateLeadingCoefficientError when the leading coefficient is
-    negligible next to the rest of D[z].
+    negligible next to the rest of D[z], or D[z] is zero.
     """
     if num_z.declared_order != den_z.declared_order:
         raise FilterDesignError(
@@ -169,7 +159,7 @@ def normalize(
         )
     den = den_z.descending()
     lead = den[0]
-    if abs(lead) < DEGENERACY_RTOL * max(abs(v) for v in den):
+    if not abs(lead) > DEGENERACY_RTOL * max(abs(v) for v in den):
         raise DegenerateLeadingCoefficientError(
             "leading z-domain denominator coefficient is negligible; the "
             "continuous denominator vanishes at s = 2*f_l (try a different "
@@ -180,19 +170,19 @@ def normalize(
     return DigitalFilterCoefficients(a_hat, b_hat, loop_rate_hz)
 
 
-def _rational_substitution(p: Polynomial, order: int, two_fl: float) -> Polynomial:
-    """One side of the stepwise pipeline: p(s) -> p's z-domain polynomial.
+def _horner_substitution(d: Sequence[float], two_fl: float) -> Polynomial:
+    """One side of the stepwise route: p(s), as its padded descending
+    coefficients d, -> p's z-domain polynomial.
 
-    With d[k] the coefficient of s**(order-k), dividing by s**order and
+    With d[k] the coefficient of s**(n-k), dividing by s**n and
     substituting s = 2*f_l/x turns p into sum(d[k] / (2*f_l)**k * x**k);
     the remaining steps move x through +1 shift, reversal, halving of the
     argument and -1 shift, landing on the polynomial in z.
     """
-    d = p.padded(order).descending()
     coeffs = []
     scale = 1.0
-    for k in range(order + 1):
-        coeffs.append(d[k] / scale)
+    for c in d:
+        coeffs.append(c / scale)
         scale *= two_fl
     q = Polynomial(tuple(coeffs))
     q = taylor_shift(q, 1.0)
@@ -200,6 +190,32 @@ def _rational_substitution(p: Polynomial, order: int, two_fl: float) -> Polynomi
     q = scale_argument(q, 0.5)
     q = taylor_shift(q, -1.0)
     return q
+
+
+def _direct_substitution(c: Sequence[float], two_fl: float) -> Polynomial:
+    # N[z] = sum_k c_k (2 f_l)^(n-k) (z-1)^(n-k) (z+1)^k with c_k the padded
+    # descending coefficients; the (z+1)^n common factor has already been
+    # multiplied through.  np.poly expands each product from its roots.
+    n = len(c) - 1
+    total = np.zeros(n + 1)
+    for k in range(n + 1):
+        factor = c[k] * two_fl ** (n - k)
+        if factor != 0.0:
+            total += factor * np.poly([1.0] * (n - k) + [-1.0] * k)
+    return Polynomial.from_descending(total.tolist())
+
+
+def _design(
+    tf: ContinuousTransferFunction,
+    loop_rate_hz: float,
+    substitute: Callable[[Sequence[float], float], Polynomial],
+) -> DigitalFilterCoefficients:
+    _check_rate(loop_rate_hz)
+    n = tf.order
+    two_fl = 2.0 * loop_rate_hz
+    num_z = substitute(tf.numerator.padded(n).descending(), two_fl)
+    den_z = substitute(tf.denominator.descending(), two_fl)
+    return normalize(num_z, den_z, loop_rate_hz)
 
 
 def tustin_horner(
@@ -211,29 +227,7 @@ def tustin_horner(
     so both sides are transformed at the same degree; the shared normalizer
     then produces a_hat and b_hat.
     """
-    _check_rate(loop_rate_hz)
-    n = tf.order
-    two_fl = 2.0 * loop_rate_hz
-    num_z = _rational_substitution(tf.numerator, n, two_fl)
-    den_z = _rational_substitution(tf.denominator, n, two_fl)
-    return normalize(num_z, den_z, loop_rate_hz)
-
-
-def _direct_substitution(p: Polynomial, order: int, two_fl: float) -> Polynomial:
-    # N[z] = sum_k c_k (2 f_l)^(order-k) (z-1)^(order-k) (z+1)^k with c_k
-    # the padded descending coefficients; the (z+1)^order common factor has
-    # already been multiplied through.
-    c = p.padded(order).descending()
-    z_minus_1 = Polynomial.from_descending([1.0, -1.0])
-    z_plus_1 = Polynomial.from_descending([1.0, 1.0])
-    total = Polynomial((0.0,) * (order + 1))
-    for k in range(order + 1):
-        factor = c[k] * two_fl ** (order - k)
-        if factor == 0.0:
-            continue
-        term = multiply(power(z_minus_1, order - k), power(z_plus_1, k))
-        total = add(total, Polynomial(tuple(factor * v for v in term.coeffs)))
-    return total
+    return _design(tf, loop_rate_hz, _horner_substitution)
 
 
 def tustin_direct(
@@ -241,15 +235,12 @@ def tustin_direct(
 ) -> DigitalFilterCoefficients:
     """Convert H(s) by brute-force substitution and expansion.
 
-    Independent of :func:`tustin_horner` except for the shared normalizer;
-    exists as the cross-check oracle and for spot verification.
+    Each (z - 1)**(n-k) * (z + 1)**k product is expanded by numpy from its
+    roots +1 and -1.  Shares only the rate check, the padding and the
+    normalizer with :func:`tustin_horner`; exists as the cross-check oracle
+    and for spot verification.
     """
-    _check_rate(loop_rate_hz)
-    n = tf.order
-    two_fl = 2.0 * loop_rate_hz
-    num_z = _direct_substitution(tf.numerator, n, two_fl)
-    den_z = _direct_substitution(tf.denominator, n, two_fl)
-    return normalize(num_z, den_z, loop_rate_hz)
+    return _design(tf, loop_rate_hz, _direct_substitution)
 
 
 def pole_radii(coeffs: DigitalFilterCoefficients) -> tuple[float, ...]:

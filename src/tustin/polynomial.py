@@ -1,4 +1,9 @@
-"""Dense univariate real polynomials for the filter design pipeline.
+"""Dense univariate real polynomials and the stepwise Tustin route's steps.
+
+This module holds the :class:`Polynomial` container and the three
+operations of the paper's Horner pipeline: :func:`taylor_shift`,
+:func:`reverse_coefficients` and :func:`scale_argument`.  The direct route
+expands its products with numpy instead.
 
 Coefficients are stored in ascending power order: ``coeffs[k]`` multiplies
 ``x**k``.  The tuple always has ``declared_order + 1`` entries, so a
@@ -18,10 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-# Upper bound on the exponent accepted by power().  Keeps accidental
-# huge expansions out; the design pipeline never needs more.
-MAX_POWER = 64
 
 
 def _as_finite_floats(values: Iterable[float]) -> tuple[float, ...]:
@@ -44,23 +45,10 @@ class Polynomial:
         object.__setattr__(self, "coeffs", _as_finite_floats(self.coeffs))
 
     @classmethod
-    def from_descending(cls, coeffs: Sequence[float], order: int | None = None) -> "Polynomial":
-        """Build from descending-power coefficients.
-
-        If ``order`` is given, the polynomial is zero-padded (at the high
-        end) up to that declared order; it is an error for the input to be
-        longer than ``order + 1``.
-        """
-        c = [float(v) for v in coeffs]
-        if not c:
-            raise ValueError("polynomial needs at least one coefficient")
-        if order is not None:
-            if len(c) > order + 1:
-                raise ValueError(
-                    f"{len(c)} coefficients do not fit declared order {order}"
-                )
-            c = [0.0] * (order + 1 - len(c)) + c
-        return cls(tuple(reversed(c)))
+    def from_descending(cls, coeffs: Sequence[float]) -> "Polynomial":
+        """Build from descending-power coefficients; see :meth:`padded` to
+        raise the declared order."""
+        return cls(tuple(reversed(coeffs)))
 
     @property
     def declared_order(self) -> int:
@@ -117,42 +105,3 @@ def scale_argument(p: Polynomial, c: float) -> Polynomial:
         out.append(v * factor)
         factor *= c
     return Polynomial(tuple(out))
-
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Coefficient-wise sum, declared order max(p, q)."""
-    n = max(p.declared_order, q.declared_order)
-    a = p.coeffs + (0.0,) * (n - p.declared_order)
-    b = q.coeffs + (0.0,) * (n - q.declared_order)
-    return Polynomial(tuple(x + y for x, y in zip(a, b)))
-
-
-def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Full convolution product, declared order p.order + q.order."""
-    out = [0.0] * (p.declared_order + q.declared_order + 1)
-    for i, a in enumerate(p.coeffs):
-        if a == 0.0:
-            continue
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return Polynomial(tuple(out))
-
-
-def power(p: Polynomial, k: int) -> Polynomial:
-    """p raised to the integer power k, 0 <= k <= MAX_POWER."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("exponent must be a nonnegative integer")
-    if k > MAX_POWER:
-        raise ValueError(f"exponent {k} exceeds supported bound {MAX_POWER}")
-    result = Polynomial((1.0,))
-    for _ in range(k):
-        result = multiply(result, p)
-    return result
-
-
-def evaluate_complex(p: Polynomial, x: complex) -> complex:
-    """Evaluate p at a complex point by Horner's rule."""
-    acc = 0j
-    for c in p.descending():
-        acc = acc * x + c
-    return acc

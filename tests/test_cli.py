@@ -422,6 +422,20 @@ def test_bode_digital_methods_need_coeffs(capsys):
     assert err.startswith("error[ARGS]: ")
 
 
+@pytest.mark.parametrize("flag", [
+    "--cutoff-hz", "--notch-hz", "--q", "--kp", "--ki", "--kd", "--tau",
+    "--gain", "--zero-hz", "--pole-hz",
+])
+def test_bode_rejects_catalog_family_flags(capsys, flag):
+    # bode takes no family, so a family parameter would be dropped unread
+    code, _, err = run(
+        capsys, "bode", "--method", "analytic-continuous", "--tf", "1/(s+1)",
+        flag, "3",
+    )
+    assert code == 2
+    assert err.startswith("error[ARGS]: ")
+
+
 def test_bode_bad_grid(capsys, butter_file):
     code, _, err = run(
         capsys, "bode", "--method", "analytic-digital", "--coeffs",

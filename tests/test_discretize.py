@@ -58,6 +58,14 @@ def test_routes_agree_on_goldens():
 
 
 @pytest.mark.parametrize("design", ROUTES)
+def test_triple_integrator_is_binomial(design):
+    # 1/s^3 with 2*f_l = 1 maps to (z + 1)^3 / (z - 1)^3, exactly
+    coeffs = design(tf([1.0], [1.0, 0.0, 0.0, 0.0]), 0.5)
+    assert coeffs.a_hat == (1.0, 3.0, 3.0, 1.0)
+    assert coeffs.b_hat == (3.0, -3.0, 1.0)
+
+
+@pytest.mark.parametrize("design", ROUTES)
 def test_pure_gain(design):
     coeffs = design(tf([3.0], [6.0]), 100.0)
     assert coeffs.a_hat == (0.5,)
@@ -105,6 +113,14 @@ def test_coefficient_container_validation():
 def test_normalize_rejects_mismatched_orders():
     with pytest.raises(FilterDesignError):
         normalize(Polynomial((1.0, 1.0)), Polynomial((1.0, 1.0, 1.0)), 10.0)
+
+
+def test_normalize_rejects_a_zero_denominator():
+    # 0 < 1e-12 * 0 is false, so only a "not above" test catches this
+    with pytest.raises(DegenerateLeadingCoefficientError):
+        normalize(Polynomial((1.0,)), Polynomial((0.0,)), 10.0)
+    with pytest.raises(DegenerateLeadingCoefficientError):
+        normalize(Polynomial((1.0, 2.0)), Polynomial((0.0, 0.0)), 10.0)
 
 
 def test_normalize_worked_example():

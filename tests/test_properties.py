@@ -1,6 +1,7 @@
 """Property tests: the vectorized sweep, response evaluator and chirp
-demodulator against the plain algorithms they replace, and the runtime
-against its difference equation written out term by term."""
+demodulator against the plain algorithms they replace, the stepwise design
+route against the direct expansion, and the runtime against its difference
+equation written out term by term."""
 
 import cmath
 import math
@@ -11,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tustin import ContinuousTransferFunction, bode_digital, chirp_bode, tustin_horner
+from tustin import (
+    ContinuousTransferFunction,
+    bode_digital,
+    chirp_bode,
+    tustin_direct,
+    tustin_horner,
+)
 from tustin.discretize import DigitalFilterCoefficients
 from tustin.runtime import DigitalFilter, process
 from tustin.signals import (
@@ -87,17 +94,23 @@ def sum_of_powers_response(coeffs, omega):
 log_corner = st.floats(math.log(RATE / 20.0), math.log(0.4 * RATE))
 
 
+def placed_roots(draw, order, p):
+    # p times real factors (s + w) and damped pairs s^2 + 2 zeta w s + w^2
+    # at drawn corners, until the product has the given order
+    while len(p) - 1 < order:
+        w = 2.0 * math.pi * math.exp(draw(log_corner))
+        if order - (len(p) - 1) >= 2 and draw(st.booleans()):
+            zeta = draw(st.floats(0.3, 1.0))
+            p = np.polymul(p, [1.0, 2.0 * zeta * w, w * w])
+        else:
+            p = np.polymul(p, [1.0, w])
+    return p
+
+
 @st.composite
 def stable_designs(draw):
     order = draw(st.integers(1, 6))
-    den = np.array([1.0])
-    while len(den) - 1 < order:
-        w = 2.0 * math.pi * math.exp(draw(log_corner))
-        if order - (len(den) - 1) >= 2 and draw(st.booleans()):
-            zeta = draw(st.floats(0.3, 1.0))
-            den = np.polymul(den, [1.0, 2.0 * zeta * w, w * w])
-        else:
-            den = np.polymul(den, [1.0, w])
+    den = placed_roots(draw, order, np.array([1.0]))
     num = np.array([draw(st.floats(0.1, 10.0))])
     for _ in range(draw(st.integers(0, order))):
         num = np.polymul(num, [1.0, 2.0 * math.pi * math.exp(draw(log_corner))])
@@ -116,6 +129,32 @@ def test_bode_digital_matches_sum_of_powers(coeffs):
     ])
     want = np.array([sum_of_powers_response(coeffs, 2.0 * math.pi * f) for f in freqs])
     assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+
+# ------------------------------------------------------- design routes
+
+
+@st.composite
+def placed_transfer_functions(draw):
+    # orders 0-12, real and complex poles and zeros; order 0 is a pure gain
+    order = draw(st.integers(0, 12))
+    den = placed_roots(draw, order, np.array([1.0]))
+    gain = np.array([draw(st.floats(0.1, 10.0))])
+    num = placed_roots(draw, draw(st.integers(0, order)), gain)
+    return ContinuousTransferFunction.from_descending(num.tolist(), den.tolist())
+
+
+@settings(deadline=None)
+@given(placed_transfer_functions())
+def test_stepwise_route_matches_direct_expansion(tf):
+    # 1e-9 of each vector's largest entry, as acceptance criterion 4
+    h = tustin_horner(tf, RATE)
+    d = tustin_direct(tf, RATE)
+    for got, ref in ((h.a_hat, d.a_hat), (h.b_hat, d.b_hat)):
+        assert len(got) == len(ref)
+        if ref:
+            scale = max(abs(v) for v in ref)
+            assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-9 * scale
 
 
 # ------------------------------------------------------ chirp demodulation
