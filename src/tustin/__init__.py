@@ -3,8 +3,9 @@
 Design path: write down a continuous transfer function H(s) (directly, from
 text, or from the catalog), convert it at a loop rate with
 :func:`tustin_horner`, then run the resulting coefficients sample by sample
-with :class:`DigitalFilter` or in batch with :func:`process`.  The signals
-and analysis modules generate test sweeps and measure the realized
+with :class:`DigitalFilter`, or in batch with the block kernel
+:func:`filter_series` (or :func:`process`, the plain fold of ticks).  The
+signals and analysis modules generate test sweeps and measure the realized
 frequency response against the analytic curves.
 """
 
@@ -37,7 +38,7 @@ from .discretize import (
     tustin_horner,
 )
 from .polynomial import Polynomial
-from .runtime import DigitalFilter, RateMismatchError, process
+from .runtime import DigitalFilter, RateMismatchError, filter_series, process
 from .signals import (
     ChirpSpec,
     TimeSeries,
@@ -78,6 +79,7 @@ __all__ = [
     "chirp_phase",
     "chirp_quadrature",
     "compare_responses",
+    "filter_series",
     "generate_chirp",
     "generate_sine",
     "instantaneous_frequency",

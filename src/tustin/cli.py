@@ -41,7 +41,9 @@ from .discretize import (
     pole_radii,
     tustin_horner,
 )
-from .runtime import RateMismatchError, process
+from .runtime import RateMismatchError, filter_series
+# Not called here: perfbench's span tests expect the fold in this namespace.
+from .runtime import process  # noqa: F401
 from .signals import CHIRP_KINDS, ChirpSpec, TimeSeries, generate_chirp
 from .tfparse import TfSyntaxError, canonical_text, parse_coeff_lists, parse_expression
 
@@ -72,6 +74,12 @@ class _UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    # Options are matched exactly: with argparse's prefix matching, a flag
+    # one subcommand lacks (bode --ki) would silently mean another (--kind).
+    # Subparsers are built by this class too, so they inherit the default.
+    def __init__(self, *args, allow_abbrev: bool = False, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     def error(self, message: str):  # argparse hook
         raise _UsageError(message)
 
@@ -259,7 +267,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
             f"1/{rate:.9g} s after the previous one"
         )
     series = TimeSeries(rate, values, t0=times[0])
-    out = process(coeffs, series, use_startup_heuristic=not args.no_heuristic)
+    out = filter_series(coeffs, series, use_startup_heuristic=not args.no_heuristic)
     with _out_stream(args.out) as fh:
         write_csv(fh, FILTER_CSV_HEADER, [series.times, series.samples, out.samples])
     return 0

@@ -13,12 +13,19 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
+# Rows formatted by one ``%`` call: Python objects exist for one slice at a
+# time, not for the whole table.
+ROWS_PER_WRITE = 4096
+
 
 def write_csv(fh: TextIO, header: str, columns: Sequence[Sequence[float]]) -> None:
     """Write equal-length columns under ``header``, one ``%.9g`` row each."""
     fh.write(header + "\n")
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
     row = ",".join(["%.9g"] * len(columns)) + "\n"
-    fh.writelines(row % r for r in zip(*(np.asarray(c).tolist() for c in columns)))
+    for i in range(0, len(columns[0]), ROWS_PER_WRITE):
+        rows = np.column_stack([c[i:i + ROWS_PER_WRITE] for c in columns])
+        fh.write(row * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def read_csv(fh: TextIO, header: str) -> np.ndarray:

@@ -436,6 +436,22 @@ def test_bode_rejects_catalog_family_flags(capsys, flag):
     assert err.startswith("error[ARGS]: ")
 
 
+@pytest.mark.parametrize("argv", [
+    # --ki is a prefix of bode's --kind, not a bode flag
+    ["bode", "--method", "chirp", "--coeffs", "{coeffs}", "--duration", "5",
+     "--fmin-hz", "1", "--fmax-hz", "100", "--ki", "linear"],
+    ["filter", "--coe", "{coeffs}", "--inp", "{signal}"],
+    ["design", "butter2", "--cutoff", "10", "--rate", "1000"],
+], ids=["bode-ki", "filter-coe-inp", "design-cutoff"])
+def test_option_prefixes_are_rejected(capsys, tmp_path, butter_file, argv):
+    signal = tmp_path / "signal.csv"
+    signal.write_text("time_s,value\n0,1\n0.001,1\n")
+    argv = [a.format(coeffs=butter_file, signal=signal) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error[ARGS]: ")
+
+
 def test_bode_bad_grid(capsys, butter_file):
     code, _, err = run(
         capsys, "bode", "--method", "analytic-digital", "--coeffs",

@@ -1,4 +1,5 @@
-"""Difference-equation runtime: tick semantics, startup, state hygiene."""
+"""Difference-equation runtime: tick semantics, startup, state hygiene, and
+the block kernel against the fold of ticks."""
 
 import math
 import random
@@ -12,9 +13,15 @@ from tustin.discretize import (
     DigitalFilterCoefficients,
     tustin_horner,
 )
-from tustin.runtime import DigitalFilter, RateMismatchError, process
+from tustin import catalog, runtime
+from tustin.runtime import (
+    BLOCK_LEN,
+    DigitalFilter,
+    RateMismatchError,
+    filter_series,
+    process,
+)
 from tustin.signals import TimeSeries, generate_sine
-from tustin import catalog
 
 LP_COEFFS = tustin_horner(
     ContinuousTransferFunction.from_descending([1.0], [10.0, 1.0]), 0.1
@@ -225,3 +232,77 @@ def test_coeffs_are_read_only():
     with pytest.raises(AttributeError):
         f.coeffs = IDENTITY
     assert f.coeffs is BUTTER
+
+
+# ------------------------------------------------------------ block kernel
+
+
+def butterworth(order, corner_hz):
+    # w^n / prod(s - p_k), the poles evenly spaced on the left half circle
+    w = 2.0 * math.pi * corner_hz
+    k = np.arange(order)
+    den = np.real(np.poly(w * np.exp(1j * np.pi * (2 * k + order + 1) / (2 * order))))
+    return ContinuousTransferFunction.from_descending([den[-1]], den.tolist())
+
+
+@pytest.mark.parametrize("coeffs", [
+    # poles inside the circle, but a direct form whose block products
+    # would miss the fold by orders of magnitude: the rounding estimate is
+    # far above the limit
+    tustin_horner(butterworth(6, 5.0), 1000.0),
+    # the integrator's pole sits on the unit circle
+    tustin_horner(catalog.pid(2.0, 5.0, 0.1, 100.0), 1000.0),
+    # order 0 carries no state
+    IDENTITY,
+    # a state longer than one block
+    DigitalFilterCoefficients(
+        tuple(np.linspace(1.0, 0.0, BLOCK_LEN + 2) / (BLOCK_LEN + 2)),
+        (0.0,) * (BLOCK_LEN + 1), 1000.0,
+    ),
+], ids=["butterworth6-5Hz", "pid", "order0", "order-above-block"])
+@pytest.mark.parametrize("heuristic", [True, False])
+def test_filter_series_folds_where_blocks_cannot_be_trusted(coeffs, heuristic):
+    rng = np.random.default_rng(35)
+    series = TimeSeries(1000.0, rng.uniform(-1.0, 1.0, 5 * BLOCK_LEN + 3) + 2.0)
+    got = filter_series(coeffs, series, heuristic)
+    want = process(coeffs, series, heuristic)
+    assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def _raised(fn, coeffs, series):
+    with pytest.raises(ValueError) as info:
+        fn(coeffs, series)
+    return type(info.value), str(info.value)
+
+
+def _with_nan():
+    series = TimeSeries(1000.0, [1.0, 2.0, 3.0])
+    # past TimeSeries' own finiteness check, as a foreign series could be
+    object.__setattr__(series, "samples", np.array([1.0, float("nan"), 3.0]))
+    return series
+
+
+@pytest.mark.parametrize("coeffs, series, error, message", [
+    (DigitalFilterCoefficients((1.0, 0.0), (1.5,), 1000.0),
+     TimeSeries(1000.0, np.full(5000, 1e10)), ValueError,
+     "not finite from sample 1691 on"),
+    (BUTTER, TimeSeries(1000.0, np.full(500, 1e308)), ValueError,
+     "not finite from sample 0 on"),
+    (BUTTER, _with_nan(), ValueError, "filter input must be finite, got nan"),
+    (BUTTER, generate_sine(10.0, 1.0, 0.0, 0.1, 999.0), RateMismatchError,
+     "!= design rate"),
+], ids=["diverges", "overflows", "nan-input", "rate"])
+def test_filter_series_raises_what_process_raises(coeffs, series, error, message):
+    raised = _raised(filter_series, coeffs, series)
+    assert raised == _raised(process, coeffs, series)
+    assert raised[0] is error and message in raised[1]
+
+
+def test_filter_series_carries_state_across_slices(monkeypatch):
+    series = generate_sine(3.0, 1.0, 0.5, 10 * BLOCK_LEN / 1000.0, 1000.0)
+    want = process(BUTTER, series).samples
+    whole = filter_series(BUTTER, series).samples
+    monkeypatch.setattr(runtime, "SLICE_BLOCKS", 3)
+    sliced = filter_series(BUTTER, series).samples
+    for got in (whole, sliced):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
