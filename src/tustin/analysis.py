@@ -317,6 +317,25 @@ def chirp_bode(
     return _to_points(freqs, fit / spec.amplitude)
 
 
+def _sorted_curve(
+    points: Sequence[FrequencyResponsePoint], which: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frequency, floor-clamped magnitude and phase, in frequency order.
+
+    A nan anywhere would make the deviations nan, which pass any threshold,
+    so a curve holding one, or an infinity that could meet another, is
+    refused with its name.
+    """
+    f, mag, ph = np.array([[p.freq_hz, p.magnitude_db, p.phase_deg] for p in points]).T
+    if not np.all((f > 0.0) & (f < np.inf)):
+        raise ValueError(f"{which} curve: frequencies must be finite and positive")
+    # -inf dB is a transmission zero, clamped to the floor below.
+    if not (np.all(mag < np.inf) and np.all(np.isfinite(ph))):
+        raise ValueError(f"{which} curve: magnitudes must be below +inf, phases finite")
+    order = np.argsort(f)
+    return f[order], np.maximum(mag[order], MAGNITUDE_DB_FLOOR), ph[order]
+
+
 def compare_responses(
     a: Sequence[FrequencyResponsePoint], b: Sequence[FrequencyResponsePoint]
 ) -> ResponseComparison:
@@ -329,18 +348,8 @@ def compare_responses(
     """
     if not a or not b:
         raise ValueError("cannot compare an empty response curve")
-    fa = np.array([p.freq_hz for p in a])
-    fb = np.array([p.freq_hz for p in b])
-    if np.any(fa <= 0.0) or np.any(fb <= 0.0):
-        raise ValueError("response frequencies must be positive")
-    order_a = np.argsort(fa)
-    order_b = np.argsort(fb)
-    fa = fa[order_a]
-    fb = fb[order_b]
-    mag_a = np.maximum([a[i].magnitude_db for i in order_a], MAGNITUDE_DB_FLOOR)
-    mag_b = np.maximum([b[i].magnitude_db for i in order_b], MAGNITUDE_DB_FLOOR)
-    ph_a = np.array([a[i].phase_deg for i in order_a])
-    ph_b = np.array([b[i].phase_deg for i in order_b])
+    fa, mag_a, ph_a = _sorted_curve(a, "first")
+    fb, mag_b, ph_b = _sorted_curve(b, "second")
     lo = max(fa[0], fb[0])
     hi = min(fa[-1], fb[-1])
     if lo > hi:

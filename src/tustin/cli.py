@@ -311,6 +311,10 @@ def cmd_bode(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    # A nan limit would pass every curve: no deviation compares above it.
+    for flag, limit in (("--max-db", args.max_db), ("--max-deg", args.max_deg)):
+        if limit is not None and not limit >= 0.0:
+            raise _UsageError(f"{flag} must be a number >= 0, got {limit}")
     with open(args.curve_a) as fh:
         a = read_bode_csv(fh)
     with open(args.curve_b) as fh:

@@ -15,11 +15,11 @@ exact per-sample reference.  :func:`filter_series` is the batch kernel: the
 block realization of Burrus ("Block realization of digital filters", IEEE
 Trans. Audio Electroacoust. AU-20(4), 1972), in which each block of
 BLOCK_LEN outputs is one row of a matrix product over the block's inputs
-plus a term in the 2n-entry state that tick() keeps, the last n inputs and
-the last n outputs.  Only that state crosses block edges one block at a
-time.  The products sum in another order than tick(), so the kernel agrees
-with the fold to rounding, not bitwise; where rounding could grow, it
-hands the series to the fold.
+and the n inputs before it, read from the series, plus a term in the n
+outputs before it.  Only those n outputs are carried, one block at a time.
+The products sum in another order than tick(), so the kernel agrees with
+the fold to rounding, not bitwise; where rounding could grow, it hands the
+series to the fold.
 """
 
 from __future__ import annotations
@@ -205,71 +205,63 @@ def filter_series(
 def _block_realization(
     coeffs: DigitalFilterCoefficients,
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """(T, O) of one block, or None where filter_series must fold.
+    """(M, O) of one block, or None where filter_series must fold.
 
-    T is the BLOCK_LEN x BLOCK_LEN lower-triangular Toeplitz matrix of the
-    impulse response, O the BLOCK_LEN x 2n responses to each unit entry of
-    the state (x[-1], ..., x[-n], y[-1], ..., y[-n]) with no input, so a
-    block's outputs are T x + O s.  Both come from one run of the difference
-    equation over 2n + 1 columns: the 2n unit states, then the unit impulse.
-    Cached per design, as stepped_sine_bode runs one design many times.
+    A block's BLOCK_LEN outputs are M w + O y, w being its inputs preceded
+    by the n inputs before it and y the n outputs before it, both oldest
+    first: M is BLOCK_LEN x (n + BLOCK_LEN), O is BLOCK_LEN x n.  Both come
+    from one run of the difference equation over n + BLOCK_LEN + n unit
+    columns, one per entry of w and then one per entry of y.  Cached per
+    design, as stepped_sine_bode runs one design many times.
     """
     n = coeffs.order
     if n == 0 or n > BLOCK_LEN or pole_radii(coeffs)[0] >= 1.0 - UNIT_CIRCLE_MARGIN:
         return None
-    unit = np.eye(2 * n + 1)
     # Rows are time, oldest first: n rows of history, then the block.
-    x = np.zeros((n + BLOCK_LEN, 2 * n + 1))
-    y = np.zeros_like(x)
-    x[:n] = unit[:n][::-1]
-    y[:n] = unit[n:2 * n][::-1]
-    x[n] = unit[2 * n]
+    width = n + BLOCK_LEN
+    x = np.eye(width, width + n)
+    y = np.eye(width, width + n, k=width)
     a = np.array(coeffs.a_hat[::-1])
     b = np.array(coeffs.b_hat[::-1])
     for t in range(BLOCK_LEN):
         y[n + t] = a @ x[t:t + n + 1] + b @ y[t:t + n]
-    h, o = y[n:, 2 * n], y[n:, :2 * n]
-    estimate = np.finfo(float).eps * np.abs(o[:, n:]).sum(axis=1).max() ** 2
+    m, o = y[n:, :width], y[n:, width:]
+    estimate = np.finfo(float).eps * np.abs(o).sum(axis=1).max() ** 2
     if not estimate <= BLOCK_ROUNDING_LIMIT:
         return None
-    lag = np.subtract.outer(np.arange(BLOCK_LEN), np.arange(BLOCK_LEN))
-    return np.tril(h[lag % BLOCK_LEN]), o
+    return m, o
 
 
 def _run_blocks(
-    t: np.ndarray, o: np.ndarray, samples: np.ndarray, use_startup_heuristic: bool
+    m: np.ndarray, o: np.ndarray, samples: np.ndarray, use_startup_heuristic: bool
 ) -> np.ndarray:
-    """The outputs of blocks of BLOCK_LEN samples, each T x + O s.
+    """The outputs of blocks of BLOCK_LEN samples, each M w + O y.
 
-    Per slice of blocks, one product gives every block's zero-state part
-    T x.  The state s of each block is its predecessor's last n inputs and
-    last n outputs; only the outputs need a step per block, through the
-    n x n tail of O, before a second product adds O s to every block.
+    Per slice of blocks, one product gives every block's M w, its window w
+    read straight from the series.  Only the output history y crosses block
+    edges: it steps once per block through the last n rows of O, before a
+    second product adds O y to every block.
     """
-    n = o.shape[1] // 2
-    # The series padded to whole blocks: each slice is flushed as tick()
-    # flushes, then overwritten by its outputs.
-    buf = np.zeros(-(-len(samples) // BLOCK_LEN) * BLOCK_LEN)
-    buf[:len(samples)] = samples
-    x0 = samples[0] if abs(samples[0]) >= _MIN_NORMAL else 0.0
-    x_edge = y_edge = np.full(n, x0 if use_startup_heuristic else 0.0)
-    # Rows of O giving a block's last n outputs, most recent first; its
-    # output columns carry the output history from block to block.
-    tail = o[::-1][:n]
-    feedback = tail[:, n:]
-    blocks = buf.reshape(-1, BLOCK_LEN)
-    for j in range(0, len(blocks), SLICE_BLOCKS):
-        x = blocks[j:j + SLICE_BLOCKS]
-        x[np.abs(x) < _MIN_NORMAL] = 0.0
-        # Each block's input history: its predecessor's last n inputs.
-        x_hist = np.vstack([x_edge, x[:-1, :-n - 1:-1]])
-        x_edge = x[-1, :-n - 1:-1].copy()
-        z = x @ t.T
-        carry = z[:, :-n - 1:-1] + x_hist @ tail[:, :n].T
-        y_hist = np.empty((len(x) + 1, n))
-        y_hist[0] = y_edge
-        for i in range(len(x)):
-            y_hist[i + 1] = feedback @ y_hist[i] + carry[i]
-        y_edge = y_hist[-1]
-        np.add(z, np.hstack([x_hist, y_hist[:-1]]) @ o.T, out=x)
+    n = o.shape[1]
+    # n samples of input history, then the series padded to whole blocks,
+    # flushed as tick() flushes.  Block i's window starts at buf[i * L]
+    # (L = BLOCK_LEN) and its outputs overwrite buf[i * L:(i + 1) * L],
+    # which no later window reads, so buf[k] ends as output k.
+    buf = np.zeros(n + -(-len(samples) // BLOCK_LEN) * BLOCK_LEN)
+    buf[n:n + len(samples)] = samples
+    buf[:n] = samples[0] if use_startup_heuristic else 0.0
+    buf[np.abs(buf) < _MIN_NORMAL] = 0.0
+    # tick() starts its output history equal to its input history.
+    y = buf[:n].copy()
+    windows = np.lib.stride_tricks.sliding_window_view(buf, n + BLOCK_LEN)[::BLOCK_LEN]
+    out = buf[:len(windows) * BLOCK_LEN].reshape(-1, BLOCK_LEN)
+    for j in range(0, len(windows), SLICE_BLOCKS):
+        # A contiguous copy: the overlapping windows would keep the product
+        # off the BLAS.
+        z = np.ascontiguousarray(windows[j:j + SLICE_BLOCKS]) @ m.T
+        y_hist = np.empty((len(z), n))
+        for i, tail in enumerate(z[:, -n:]):
+            y_hist[i] = y
+            y = o[-n:] @ y + tail
+        np.add(z, y_hist @ o.T, out=out[j:j + SLICE_BLOCKS])
     return buf[:len(samples)]

@@ -273,6 +273,23 @@ def test_compare_clamps_deep_nulls():
     assert cmp.max_abs_magnitude_db == 0.0
 
 
+def test_compare_accepts_a_transmission_zero():
+    a = [FrequencyResponsePoint(1.0, float("-inf"), 0.0)]
+    b = [FrequencyResponsePoint(1.0, MAGNITUDE_DB_FLOOR, 0.0)]
+    assert compare_responses(a, b).max_abs_magnitude_db == 0.0
+
+
+@pytest.mark.parametrize("point", [
+    FrequencyResponsePoint(float("inf"), 0.0, 0.0),
+    FrequencyResponsePoint(1.0, float("inf"), 0.0),
+    FrequencyResponsePoint(1.0, 0.0, float("-inf")),
+], ids=["frequency", "magnitude", "phase"])
+def test_compare_rejects_infinities(point):
+    a = [FrequencyResponsePoint(1.0, 0.0, 0.0)]
+    with pytest.raises(ValueError, match="^first curve: "):
+        compare_responses([point], a)
+
+
 # --------------------------------------------------------------- CSV I/O
 
 

@@ -498,6 +498,47 @@ def test_compare_disjoint_curves(capsys, tmp_path):
     assert err.startswith("error[INVALID]: ")
 
 
+def _curves(tmp_path, rows_b):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("freq_hz,magnitude_db,phase_deg\n1,0,0\n10,0,0\n")
+    b.write_text("freq_hz,magnitude_db,phase_deg\n" + rows_b)
+    return str(a), str(b)
+
+
+@pytest.mark.parametrize("rows_b", ["1,nan,0\n10,3,0\n", "1,3,0\n10,3,nan\n"],
+                         ids=["magnitude", "phase"])
+def test_compare_rejects_a_nan_field(capsys, tmp_path, rows_b):
+    # a nan deviation would pass both gates
+    a, b = _curves(tmp_path, rows_b)
+    code, out, err = run(capsys, "compare", a, b, "--max-db", "0.5", "--max-deg", "5")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error[INVALID]: second curve: magnitudes must be below +inf, phases finite\n"
+    )
+
+
+def test_compare_rejects_a_nan_frequency(capsys, tmp_path):
+    a, b = _curves(tmp_path, "nan,0,0\n10,3,0\n")
+    code, _, err = run(capsys, "compare", b, a)
+    assert code == 1
+    assert err == (
+        "error[INVALID]: first curve: frequencies must be finite and positive\n"
+    )
+
+
+@pytest.mark.parametrize("flag, limit", [
+    ("--max-db", "nan"), ("--max-deg", "nan"), ("--max-db", "-1"),
+])
+def test_compare_rejects_a_limit_no_deviation_can_exceed(capsys, tmp_path, flag, limit):
+    a, b = _curves(tmp_path, "1,3,0\n10,3,0\n")
+    code, out, err = run(capsys, "compare", a, b, flag, limit)
+    assert code == 2
+    assert out == ""
+    assert err == f"error[ARGS]: {flag} must be a number >= 0, got {float(limit)}\n"
+
+
 # ------------------------------------------------------------ full pipeline
 
 

@@ -298,11 +298,18 @@ def test_filter_series_raises_what_process_raises(coeffs, series, error, message
     assert raised[0] is error and message in raised[1]
 
 
-def test_filter_series_carries_state_across_slices(monkeypatch):
+@pytest.mark.parametrize("coeffs", [
+    BUTTER,
+    # n = 6: each block's window reaches six inputs back, over slice edges
+    tustin_horner(butterworth(6, 100.0), 1000.0),
+], ids=["butter2", "butterworth6-100Hz"])
+@pytest.mark.parametrize("heuristic", [True, False], ids=["heuristic", "zero-start"])
+def test_filter_series_carries_state_across_slices(monkeypatch, coeffs, heuristic):
+    assert runtime._block_realization(coeffs) is not None
     series = generate_sine(3.0, 1.0, 0.5, 10 * BLOCK_LEN / 1000.0, 1000.0)
-    want = process(BUTTER, series).samples
-    whole = filter_series(BUTTER, series).samples
+    want = process(coeffs, series, heuristic).samples
+    whole = filter_series(coeffs, series, heuristic).samples
     monkeypatch.setattr(runtime, "SLICE_BLOCKS", 3)
-    sliced = filter_series(BUTTER, series).samples
+    sliced = filter_series(coeffs, series, heuristic).samples
     for got in (whole, sliced):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
