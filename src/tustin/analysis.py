@@ -29,9 +29,9 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .discretize import ContinuousTransferFunction, DigitalFilterCoefficients
+from .discretize import ContinuousTransferFunction, DigitalFilterCoefficients, pole_radii
 from .csvio import read_csv, write_csv
-from .runtime import filter_series
+from .runtime import UNIT_CIRCLE_MARGIN, filter_series
 # Not called here: perfbench's span tests expect the fold in this namespace.
 from .runtime import process  # noqa: F401
 from .signals import ChirpSpec, TimeSeries, chirp_phase, chirp_quadrature, generate_sine
@@ -44,6 +44,19 @@ MAGNITUDE_DB_FLOOR = -300.0
 # Stepped-sine grids must stay below this fraction of the loop rate; above
 # it the per-cycle sample count is too small for a trustworthy fit.
 STEPPED_SINE_MAX_FREQ_FRACTION = 0.45
+
+# A stepped-sine probe settles, by default, until the impulse response's
+# tail sum_{j>=k} |h_j| is at most this fraction of sum |h|: a unit sine
+# started from rest is then that close to its steady state at every
+# measured sample.
+SETTLE_TAIL_RTOL = 1e-12
+
+# The longest impulse response run to find that tail, in samples.  A design
+# whose tail outlasts half of it (a pole within about 5e-5 of the unit
+# circle), or whose poles reach the unit circle, settles for a fixed
+# FALLBACK_SETTLE_CYCLES input cycles instead.
+SETTLE_MAX_SAMPLES = 2**20
+FALLBACK_SETTLE_CYCLES = 20
 
 
 class AboveNyquistError(ValueError):
@@ -209,10 +222,34 @@ def _fit_quadrature(
     return fit
 
 
+def _settle_samples(coeffs: DigitalFilterCoefficients) -> int | None:
+    """Samples until the impulse-response tail falls to SETTLE_TAIL_RTOL.
+
+    None where no such length is found: a pole on or outside the unit
+    circle, or a tail that outlasts half of SETTLE_MAX_SAMPLES.
+    """
+    if max(pole_radii(coeffs), default=0.0) >= 1.0 - UNIT_CIRCLE_MARGIN:
+        return None
+    n = 1024
+    while n <= SETTLE_MAX_SAMPLES:
+        impulse = np.zeros(n)
+        impulse[0] = 1.0
+        h = filter_series(
+            coeffs, TimeSeries(coeffs.loop_rate_hz, impulse), use_startup_heuristic=False
+        )
+        # tail[k] = sum_{j>=k} |h_j|, summed from the far end.
+        tail = np.cumsum(np.abs(h.samples[::-1]))[::-1]
+        limit = SETTLE_TAIL_RTOL * tail[0]
+        if tail[n // 2] <= limit:
+            return int(np.argmax(tail <= limit))
+        n *= 4
+    return None
+
+
 def stepped_sine_bode(
     coeffs: DigitalFilterCoefficients,
     freq_grid_hz: Sequence[float],
-    settle_cycles: int = 20,
+    settle_cycles: int | None = None,
     measure_cycles: int = 5,
 ) -> list[FrequencyResponsePoint]:
     """Measure the response one frequency at a time with unit sines.
@@ -224,9 +261,13 @@ def stepped_sine_bode(
     freq_grid_hz : sequence of float
         Probe frequencies, each below STEPPED_SINE_MAX_FREQ_FRACTION of the
         loop rate.
-    settle_cycles : int
+    settle_cycles : int, optional
         Input cycles discarded before measuring (>= 5); lets the filter
-        transient die off.
+        transient die off.  By default every probe settles for the design's
+        own memory instead: the samples after which its impulse-response
+        tail is at most SETTLE_TAIL_RTOL of its total, or
+        FALLBACK_SETTLE_CYCLES cycles where that cannot be found (see
+        SETTLE_MAX_SAMPLES).
     measure_cycles : int
         Input cycles fitted with least squares (>= 2).
 
@@ -236,7 +277,7 @@ def stepped_sine_bode(
         Magnitude 20*log10 sqrt(p**2 + q**2) and phase atan2(q, p) of the
         fit y ~ p sin + q cos, phase unwrapped along the grid.
     """
-    if settle_cycles < 5:
+    if settle_cycles is not None and settle_cycles < 5:
         raise ValueError("settle_cycles must be at least 5")
     if measure_cycles < 2:
         raise ValueError("measure_cycles must be at least 2")
@@ -250,12 +291,17 @@ def stepped_sine_bode(
                 f"grid frequency {f} Hz outside (0, "
                 f"{STEPPED_SINE_MAX_FREQ_FRACTION} * loop rate)"
             )
+    settle = None
+    if settle_cycles is None:
+        settle = _settle_samples(coeffs)
+        settle_cycles = FALLBACK_SETTLE_CYCLES
     responses = []
     for f in freqs:
-        duration = (settle_cycles + measure_cycles) / f
+        cycles = settle_cycles if settle is None else settle * f / rate
+        duration = (cycles + measure_cycles) / f
         series = generate_sine(f, 1.0, 0.0, duration, rate)
         out = filter_series(coeffs, series)
-        i0 = int(round(settle_cycles / f * rate))
+        i0 = int(round(cycles / f * rate))
         # A unit sine with no offset is its own sine reference.
         cos_ref = np.cos(2.0 * math.pi * f * series.times[i0:])
         responses.append(
@@ -342,14 +388,25 @@ def compare_responses(
     """Deviations between two curves on their common frequency range.
 
     The second curve is interpolated onto the first curve's grid points
-    inside the overlap, linearly in log-frequency.  Magnitudes below the
-    -300 dB file floor are clamped before differencing so a transmission
-    zero does not produce an infinite deviation.
+    inside the overlap, linearly in log-frequency; it may repeat a point
+    but not give two different responses at one frequency.  Magnitudes
+    below the -300 dB file floor are clamped before differencing so a
+    transmission zero does not produce an infinite deviation.
     """
     if not a or not b:
         raise ValueError("cannot compare an empty response curve")
     fa, mag_a, ph_a = _sorted_curve(a, "first")
     fb, mag_b, ph_b = _sorted_curve(b, "second")
+    # Interpolation needs one value per log-frequency knot: repeated points
+    # of the second curve must agree, or the deviation depends on which one
+    # np.interp happens to pick.
+    xb = np.log10(fb)
+    same = np.flatnonzero(xb[1:] == xb[:-1])
+    split = same[(mag_b[same] != mag_b[same + 1]) | (ph_b[same] != ph_b[same + 1])]
+    if split.size:
+        raise ValueError(
+            f"second curve: two different responses at {fb[split[0]].item()!r} Hz"
+        )
     lo = max(fa[0], fb[0])
     hi = min(fa[-1], fb[-1])
     if lo > hi:
@@ -357,11 +414,11 @@ def compare_responses(
             f"no overlap: [{fa[0]}, {fa[-1]}] Hz vs [{fb[0]}, {fb[-1]}] Hz"
         )
     keep = (fa >= lo) & (fa <= hi)
-    fc = fa[keep]
-    dmag = np.abs(mag_a[keep] - np.interp(np.log10(fc), np.log10(fb), mag_b))
-    dph = np.abs(ph_a[keep] - np.interp(np.log10(fc), np.log10(fb), ph_b))
+    xc = np.log10(fa[keep])
+    dmag = np.abs(mag_a[keep] - np.interp(xc, xb, mag_b))
+    dph = np.abs(ph_a[keep] - np.interp(xc, xb, ph_b))
     return ResponseComparison(
-        points_compared=int(fc.size),
+        points_compared=int(xc.size),
         max_abs_magnitude_db=float(dmag.max()),
         mean_abs_magnitude_db=float(dmag.mean()),
         max_abs_phase_deg=float(dph.max()),

@@ -403,7 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fmax-hz", type=float, default=100.0)
     p.add_argument("--points", type=int, default=200,
                    help="log-spaced grid size (analytic/stepped methods)")
-    p.add_argument("--settle-cycles", type=int, default=20)
+    p.add_argument("--settle-cycles", type=int,
+                   help="input cycles settled per stepped probe (>= 5; default: "
+                        "derived from the design's impulse response)")
     p.add_argument("--measure-cycles", type=int, default=5)
     p.add_argument("--kind", choices=CHIRP_KINDS, default="exponential",
                    help="sweep law (chirp method)")

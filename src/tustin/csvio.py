@@ -8,7 +8,8 @@ wrong column count or a non-numeric field with the file name and line.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+import io
+import warnings
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -31,26 +32,30 @@ def write_csv(fh: TextIO, header: str, columns: Sequence[Sequence[float]]) -> No
 def read_csv(fh: TextIO, header: str) -> np.ndarray:
     """Read a file written by :func:`write_csv`; rows x columns float64.
 
-    The column count comes from ``header``.  When every line holds that
-    many fields the body is parsed in one pass; otherwise, or when a field
-    is not a number, it is scanned line by line to name the error.
+    The column count comes from ``header``.  numpy's parser reads the body;
+    where it fails or finds another column count (a line of spaces, a
+    non-numeric field, a short row, an empty body) the body is scanned again
+    line by line, which skips blank lines or names the error.
     """
     name = getattr(fh, "name", "<stream>")
     got = fh.readline().strip()
     if got != header:
         raise ValueError(f"{name}: expected header {header!r}, got {got!r}")
     ncols = header.count(",") + 1
-    lines = fh.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if set(map(str.count, lines, repeat(","))) <= {ncols - 1}:
-        try:
-            tokens = chain.from_iterable(map(str.split, lines, repeat(",")))
-            return _table(map(float, tokens), ncols)
-        except ValueError:
-            pass
+    if not fh.seekable():
+        fh = io.StringIO(fh.read())
+    body = fh.tell()
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        if table.shape[1:] == (ncols,):
+            return table
+    except ValueError:
+        pass
+    fh.seek(body)
     values: list[float] = []
-    for lineno, line in enumerate(lines, start=2):
+    for lineno, line in enumerate(fh, start=2):
         fields = line.strip().split(",")
         if fields == [""]:
             continue
@@ -62,8 +67,4 @@ def read_csv(fh: TextIO, header: str) -> np.ndarray:
             values.extend(map(float, fields))
         except ValueError:
             raise ValueError(f"{name}:{lineno}: non-numeric field") from None
-    return _table(values, ncols)
-
-
-def _table(values, ncols: int) -> np.ndarray:
-    return np.fromiter(values, dtype=np.float64).reshape(-1, ncols)
+    return np.array(values, dtype=np.float64).reshape(-1, ncols)

@@ -16,8 +16,8 @@ block realization of Burrus ("Block realization of digital filters", IEEE
 Trans. Audio Electroacoust. AU-20(4), 1972), in which each block of
 BLOCK_LEN outputs is one row of a matrix product over the block's inputs
 and the n inputs before it, read from the series, plus a term in the n
-outputs before it.  Only those n outputs are carried, one block at a time.
-The products sum in another order than tick(), so the kernel agrees with
+outputs before it.  Only those n outputs cross block edges, by a linear
+recurrence that one scan solves for every block at once.  The products sum in another order than tick(), so the kernel agrees with
 the fold to rounding, not bitwise; where rounding could grow, it hands the
 series to the fold.
 """
@@ -45,12 +45,13 @@ _MIN_NORMAL = sys.float_info.min
 RATE_RTOL = 1e-9
 
 # Outputs per block of filter_series.  It trades the size of the block
-# products against the number of state steps, one per block; the kernel's
-# gap to the fold kept its order of magnitude from 32 to 256.
+# products against the length of the output-history scan, one row per
+# block; the kernel's gap to the fold kept its order of magnitude from 32
+# to 256.
 BLOCK_LEN = 128
 
-# Blocks per slice of the block products: each temporary stays at 64 kB
-# however long the series.  On the benchmark's batch pipeline (2-CPU
+# Blocks per slice of the block products: their temporaries stay at 64 kB
+# however long the series (the scan holds n values per block).  On the benchmark's batch pipeline (2-CPU
 # x86_64), slices of 512 blocks and more ran no faster and left the process
 # up to 3 MB larger.
 SLICE_BLOCKS = 64
@@ -239,8 +240,11 @@ def _run_blocks(
 
     Per slice of blocks, one product gives every block's M w, its window w
     read straight from the series.  Only the output history y crosses block
-    edges: it steps once per block through the last n rows of O, before a
-    second product adds O y to every block.
+    edges, y_{i+1} = P y_i + t_i with P the last n rows of O and t_i the last
+    n entries of block i's M w: a linear recurrence, solved for all blocks
+    at once by doubling in log2 of the block count steps (Hillis and
+    Steele, "Data parallel algorithms", CACM 29(12), 1986).  A second
+    product per slice then adds O y to every block.
     """
     n = o.shape[1]
     # n samples of input history, then the series padded to whole blocks,
@@ -251,17 +255,23 @@ def _run_blocks(
     buf[n:n + len(samples)] = samples
     buf[:n] = samples[0] if use_startup_heuristic else 0.0
     buf[np.abs(buf) < _MIN_NORMAL] = 0.0
-    # tick() starts its output history equal to its input history.
-    y = buf[:n].copy()
     windows = np.lib.stride_tricks.sliding_window_view(buf, n + BLOCK_LEN)[::BLOCK_LEN]
     out = buf[:len(windows) * BLOCK_LEN].reshape(-1, BLOCK_LEN)
-    for j in range(0, len(windows), SLICE_BLOCKS):
+    # tick() starts its output history y_0 equal to its input history.
+    hist = np.empty((len(out), n))
+    hist[0] = buf[:n]
+    for j in range(0, len(out), SLICE_BLOCKS):
         # A contiguous copy: the overlapping windows would keep the product
         # off the BLAS.
-        z = np.ascontiguousarray(windows[j:j + SLICE_BLOCKS]) @ m.T
-        y_hist = np.empty((len(z), n))
-        for i, tail in enumerate(z[:, -n:]):
-            y_hist[i] = y
-            y = o[-n:] @ y + tail
-        np.add(z, y_hist @ o.T, out=out[j:j + SLICE_BLOCKS])
+        np.matmul(np.ascontiguousarray(windows[j:j + SLICE_BLOCKS]), m.T,
+                  out=out[j:j + SLICE_BLOCKS])
+    # hist[i] = t_{i-1}, then after step s the sum of P^k t_{i-1-k} over
+    # k < 2s: once 2s covers every block, hist[i] = y_i.
+    hist[1:] = out[:-1, -n:]
+    p, s = o[-n:], 1
+    while s < len(hist):
+        hist[s:] += hist[:-s] @ p.T
+        p, s = p @ p, 2 * s
+    for j in range(0, len(out), SLICE_BLOCKS):
+        out[j:j + SLICE_BLOCKS] += hist[j:j + SLICE_BLOCKS] @ o.T
     return buf[:len(samples)]

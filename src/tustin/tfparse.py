@@ -129,10 +129,10 @@ class _Parser:
                 self.fail("')'")
             self.advance()
             for k, v in inner.items():
-                acc[k] = acc.get(k, 0.0) + sign * v
+                _add_term(acc, k, sign * v)
             return
         coeff, pwr = self.term()
-        acc[pwr] = acc.get(pwr, 0.0) + sign * coeff
+        _add_term(acc, pwr, sign * coeff)
 
     def term(self) -> tuple[float, int]:
         tok = self.peek()
@@ -170,6 +170,12 @@ class _Parser:
             self.fail(f"an exponent no greater than {MAX_EXPONENT}")
         self.advance()
         return int(exp.text)
+
+
+def _add_term(acc: dict[int, float], pwr: int, coeff: float) -> None:
+    # A power starts from its first term, not from 0.0: 0.0 + -0.0 is +0.0,
+    # and canonical_text promises that a -0.0 coefficient survives.
+    acc[pwr] = acc[pwr] + coeff if pwr in acc else coeff
 
 
 def _descending(acc: dict[int, float]) -> list[float]:

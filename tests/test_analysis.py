@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from tustin import catalog
+from tustin import analysis, catalog
 from tustin.analysis import (
     BODE_CSV_HEADER,
+    FALLBACK_SETTLE_CYCLES,
     MAGNITUDE_DB_FLOOR,
+    SETTLE_TAIL_RTOL,
     AboveNyquistError,
     DenominatorZeroError,
     DisjointRangesError,
@@ -30,8 +32,8 @@ from tustin.discretize import (
     DigitalFilterCoefficients,
     tustin_horner,
 )
-from tustin.runtime import RateMismatchError
-from tustin.signals import ChirpSpec
+from tustin.runtime import RateMismatchError, process
+from tustin.signals import ChirpSpec, TimeSeries
 
 TWO_PI = 2.0 * math.pi
 RATE = 1000.0
@@ -146,6 +148,54 @@ def test_stepped_more_cycles_does_not_drift():
     err_short = abs(short[0].magnitude_db - truth.magnitude_db)
     err_long = abs(long[0].magnitude_db - truth.magnitude_db)
     assert err_long <= err_short + 1e-6
+
+
+def max_gaps(measured, truth):
+    return (
+        max(abs(m.magnitude_db - t.magnitude_db) for m, t in zip(measured, truth)),
+        max(abs(m.phase_deg - t.phase_deg) for m, t in zip(measured, truth)),
+    )
+
+
+DEFAULT_GRID = np.logspace(-1.0, 2.0, 40)
+
+
+@pytest.mark.parametrize("tf, grid, max_db", [
+    (catalog.butterworth2(TWO_PI * 12.3), DEFAULT_GRID, 1e-9),
+    # pole radius 0.999686: 86,124 samples of settle, 20 cycles are 4,000
+    (catalog.notch(TWO_PI * 5.0, 50.0), np.linspace(4.9, 5.2, 31), 1e-6),
+    # a repeated pole, whose tail outlasts r**k
+    (ContinuousTransferFunction.from_descending([1.0], np.poly([-6.0] * 4).tolist()),
+     DEFAULT_GRID, 1e-4),
+], ids=["butter2", "notch-q50", "repeated-pole"])
+def test_stepped_default_settle_matches_analytic_digital(tf, grid, max_db):
+    coeffs = tustin_horner(tf, RATE)
+    gap_db, _ = max_gaps(stepped_sine_bode(coeffs, grid), bode_digital(coeffs, grid))
+    assert gap_db <= max_db
+
+
+def test_settle_length_is_where_the_impulse_tail_falls_below_tolerance():
+    coeffs = tustin_horner(catalog.butterworth2(TWO_PI * 12.3), RATE)
+    k = analysis._settle_samples(coeffs)
+    impulse = np.zeros(4 * k)
+    impulse[0] = 1.0
+    h = np.abs(process(coeffs, TimeSeries(RATE, impulse), False).samples)
+    assert h[k:].sum() <= SETTLE_TAIL_RTOL * h.sum() < h[k - 1:].sum()
+
+
+def test_stepped_falls_back_to_fixed_cycles_without_a_settle_length(monkeypatch):
+    # pid's integrator sits on the unit circle: no impulse tail to measure
+    pid = tustin_horner(catalog.pid(1.0, 2.0, 0.1, 200.0), RATE)
+    assert analysis._settle_samples(pid) is None
+    freqs = [0.5, 5.0, 50.0]
+    fixed = stepped_sine_bode(pid, freqs, settle_cycles=FALLBACK_SETTLE_CYCLES)
+    assert stepped_sine_bode(pid, freqs) == fixed
+    # a tail that outlasts half the longest impulse run
+    notch = tustin_horner(catalog.notch(TWO_PI * 5.0, 50.0), RATE)
+    monkeypatch.setattr(analysis, "SETTLE_MAX_SAMPLES", 4096)
+    assert analysis._settle_samples(notch) is None
+    fixed = stepped_sine_bode(notch, freqs, settle_cycles=FALLBACK_SETTLE_CYCLES)
+    assert stepped_sine_bode(notch, freqs) == fixed
 
 
 def test_stepped_validation():
@@ -277,6 +327,17 @@ def test_compare_accepts_a_transmission_zero():
     a = [FrequencyResponsePoint(1.0, float("-inf"), 0.0)]
     b = [FrequencyResponsePoint(1.0, MAGNITUDE_DB_FLOOR, 0.0)]
     assert compare_responses(a, b).max_abs_magnitude_db == 0.0
+
+
+def test_compare_refuses_two_responses_at_one_frequency():
+    a = [FrequencyResponsePoint(f, 0.0, 0.0) for f in (1.0, 2.0, 4.0)]
+    split = a + [FrequencyResponsePoint(2.0, 0.0, 1.0)]
+    with pytest.raises(ValueError, match=r"^second curve: two different responses at 2\.0 Hz"):
+        compare_responses(a, split)
+    # as the first curve every point is checked, so the repeat is measured
+    assert compare_responses(split, a).max_abs_phase_deg == 1.0
+    # a point repeated exactly is one response
+    assert compare_responses(a, a + a[1:2]).max_abs_phase_deg == 0.0
 
 
 @pytest.mark.parametrize("point", [

@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through main() with real files."""
 
+import io
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from tustin import catalog
+from tustin.analysis import stepped_sine_bode, write_bode_csv
 from tustin.cli import first_irregular_sample, main, read_coeff_file, write_coeff_file
 from tustin.discretize import DigitalFilterCoefficients, tustin_horner
 
@@ -388,6 +390,23 @@ def test_bode_analytic_digital_and_stepped_agree(capsys, tmp_path, butter_file):
         assert f1 == pytest.approx(f2)
         assert m1 == pytest.approx(m2, abs=0.01)
         assert p1 == pytest.approx(p2, abs=0.1)
+
+
+def test_bode_stepped_settle_cycles_keeps_its_meaning(capsys, tmp_path, butter_file):
+    common = ["bode", "--method", "stepped", "--coeffs", str(butter_file),
+              "--fmin-hz", "1", "--fmax-hz", "50", "--points", "5"]
+    code, _, err = run(capsys, *common, "--settle-cycles", "4")
+    assert code == 1
+    assert err == "error[INVALID]: settle_cycles must be at least 5\n"
+    out = tmp_path / "s20.csv"
+    assert run(capsys, *common, "--settle-cycles", "20", "--out", str(out))[0] == 0
+    coeffs, _ = read_coeff_file(butter_file)
+    want = io.StringIO()
+    write_bode_csv(
+        stepped_sine_bode(coeffs, np.logspace(0.0, math.log10(50.0), 5), settle_cycles=20),
+        want,
+    )
+    assert out.read_text() == want.getvalue()
 
 
 def test_bode_chirp_runs(capsys, tmp_path, butter_file):

@@ -70,3 +70,33 @@ def test_reader_rejects_rows_that_only_balance_overall():
     # 2 + 4 fields add up to two rows of 3 but neither row has 3
     with pytest.raises(ValueError, match=r":2: expected 3 columns, got 2"):
         read_csv(named(HEADER + "\n1,2\n3,4,5,6\n"), HEADER)
+
+
+def test_reader_accepts_a_body_of_blank_lines():
+    assert read_csv(named(HEADER + "\n\n  \n\n"), HEADER).shape == (0, 3)
+
+
+def test_reader_rejects_rows_that_all_have_another_column_count():
+    with pytest.raises(ValueError, match=r"^curve\.csv:2: expected 3 columns, got 4"):
+        read_csv(named(HEADER + "\n1,2,3,4\n5,6,7,8\n"), HEADER)
+
+
+class Pipe(io.StringIO):
+    """A stream that cannot seek back, such as standard input."""
+
+    name = "pipe.csv"
+
+    def seekable(self):
+        return False
+
+    def tell(self):
+        raise io.UnsupportedOperation("underlying stream is not seekable")
+
+    seek = tell
+
+
+def test_reader_reads_and_reports_on_a_stream_that_cannot_seek():
+    assert read_csv(Pipe(HEADER + "\n1,2,3\n 4,5,6\n"), HEADER).tolist() == [
+        [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    with pytest.raises(ValueError, match=r"^pipe\.csv:3: non-numeric field"):
+        read_csv(Pipe(HEADER + "\n1,2,3\n4,x,6\n"), HEADER)

@@ -1,15 +1,18 @@
 """Property tests: the vectorized sweep, response evaluator and chirp
 demodulator against the plain algorithms they replace, the stepwise design
 route against the direct expansion, the runtime against its difference
-equation written out term by term, and the block kernel against the fold."""
+equation written out term by term, the block kernel against the fold, the
+canonical expression text against the parser, and a curve compared with
+itself."""
 
 import cmath
 import math
+import struct
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,8 +23,10 @@ from tustin import (
     tustin_direct,
     tustin_horner,
 )
+from tustin.analysis import FrequencyResponsePoint, compare_responses
 from tustin.discretize import DigitalFilterCoefficients
-from tustin.runtime import BLOCK_LEN, DigitalFilter, filter_series, process
+from tustin.runtime import BLOCK_LEN, SLICE_BLOCKS, DigitalFilter, filter_series, process
+from tustin.tfparse import canonical_text, parse_expression
 from tustin.signals import (
     ChirpSpec,
     TimeSeries,
@@ -286,9 +291,11 @@ def test_tick_and_process_are_the_difference_equation_bitwise(run):
 # ------------------------------------------------------------ block kernel
 
 
-# One sample, one block and one sample either side of it, several blocks.
+# One sample, one block and one sample either side of it, several blocks,
+# and more blocks than one slice of the block products.
 series_lengths = st.sampled_from(
-    [1, BLOCK_LEN - 1, BLOCK_LEN, BLOCK_LEN + 1, 7 * BLOCK_LEN + 45]
+    [1, BLOCK_LEN - 1, BLOCK_LEN, BLOCK_LEN + 1, 7 * BLOCK_LEN + 45,
+     (SLICE_BLOCKS + 2) * BLOCK_LEN + 3]
 )
 kernel_samples = st.one_of(
     st.floats(-1e3, 1e3),
@@ -310,3 +317,64 @@ def test_filter_series_matches_the_fold(coeffs, xs, heuristic):
     # grid of 5e-324 that no relative bound covers: inputs of that size left
     # the two 140 grid steps apart, so gaps under 1e-318 always pass.
     assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want).max() + 1e-318)
+
+
+# ------------------------------------------------------- canonical text
+
+
+def bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+finite_coeffs = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def transfer_functions(draw):
+    den = draw(st.lists(finite_coeffs, min_size=1, max_size=8))
+    if den[0] == 0.0:
+        den[0] = 1.0
+    num = draw(st.lists(finite_coeffs, min_size=1, max_size=len(den)))
+    return ContinuousTransferFunction.from_descending(num, den)
+
+
+@given(transfer_functions())
+@example(ContinuousTransferFunction.from_descending([-0.0, 1.0], [1.0, -0.0]))
+@example(ContinuousTransferFunction.from_descending([0.0, -0.0], [-5e-324, 0.0]))
+@example(ContinuousTransferFunction.from_descending([1e-310], [2.2250738585072014e-308]))
+def test_canonical_text_keeps_every_coefficient_bit(tf):
+    back = parse_expression(canonical_text(tf))
+    assert bits(back.numerator.coeffs) == bits(tf.numerator.coeffs)
+    assert bits(back.denominator.coeffs) == bits(tf.denominator.coeffs)
+
+
+# ------------------------------------------------------------- comparison
+
+
+# What read_bode_csv can hand over: finite positive frequencies, magnitudes
+# below +inf (-inf is a transmission zero) and finite phases.
+response_points = st.builds(
+    FrequencyResponsePoint,
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(allow_nan=False, max_value=math.inf, exclude_max=True),
+    finite_coeffs,
+)
+
+
+@settings(deadline=None)
+@given(st.lists(response_points, min_size=1, max_size=30))
+@example([FrequencyResponsePoint(1.0, 0.0, 0.0), FrequencyResponsePoint(1.0, 0.0, 0.0)])
+def test_a_curve_compared_with_itself_deviates_nowhere(curve):
+    # Two different responses at one log-frequency cannot be interpolated.
+    f = np.log10([p.freq_hz for p in curve])
+    at = {}
+    for x, p in zip(f.tolist(), curve):
+        at.setdefault(x, set()).add((max(p.magnitude_db, -300.0), p.phase_deg))
+    if any(len(v) > 1 for v in at.values()):
+        with pytest.raises(ValueError, match="^second curve: two different responses"):
+            compare_responses(curve, curve)
+        return
+    got = compare_responses(curve, curve)
+    assert got.points_compared == len(curve)
+    assert got.max_abs_magnitude_db == got.mean_abs_magnitude_db == 0.0
+    assert got.max_abs_phase_deg == got.mean_abs_phase_deg == 0.0
