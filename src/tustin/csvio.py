@@ -8,8 +8,8 @@ wrong column count or a non-numeric field with the file name and line.
 
 from __future__ import annotations
 
-import io
 import warnings
+from contextlib import suppress
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -34,26 +34,22 @@ def read_csv(fh: TextIO, header: str) -> np.ndarray:
 
     The column count comes from ``header``.  numpy's parser reads the body;
     where it fails or finds another column count (a line of spaces, a
-    non-numeric field, a short row, an empty body) the body is scanned again
-    line by line, which skips blank lines or names the error.
+    non-numeric field, a short row, an empty body) the file is read again
+    from its start and scanned line by line, which skips blank lines or
+    names the error.  Only that rescan needs a stream that can seek.
     """
     name = getattr(fh, "name", "<stream>")
     got = fh.readline().strip()
     if got != header:
         raise ValueError(f"{name}: expected header {header!r}, got {got!r}")
     ncols = header.count(",") + 1
-    if not fh.seekable():
-        fh = io.StringIO(fh.read())
-    body = fh.tell()
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    with suppress(ValueError), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         if table.shape[1:] == (ncols,):
             return table
-    except ValueError:
-        pass
-    fh.seek(body)
+    fh.seek(0)
+    fh.readline()
     values: list[float] = []
     for lineno, line in enumerate(fh, start=2):
         fields = line.strip().split(",")

@@ -23,7 +23,7 @@ from tustin import (
     tustin_direct,
     tustin_horner,
 )
-from tustin.analysis import FrequencyResponsePoint, compare_responses
+from tustin.analysis import MAGNITUDE_DB_FLOOR, FrequencyResponsePoint, compare_responses
 from tustin.discretize import DigitalFilterCoefficients
 from tustin.runtime import BLOCK_LEN, SLICE_BLOCKS, DigitalFilter, filter_series, process
 from tustin.tfparse import canonical_text, parse_expression
@@ -369,7 +369,7 @@ def test_a_curve_compared_with_itself_deviates_nowhere(curve):
     f = np.log10([p.freq_hz for p in curve])
     at = {}
     for x, p in zip(f.tolist(), curve):
-        at.setdefault(x, set()).add((max(p.magnitude_db, -300.0), p.phase_deg))
+        at.setdefault(x, set()).add((max(p.magnitude_db, MAGNITUDE_DB_FLOOR), p.phase_deg))
     if any(len(v) > 1 for v in at.values()):
         with pytest.raises(ValueError, match="^second curve: two different responses"):
             compare_responses(curve, curve)
