@@ -325,6 +325,9 @@ def chirp_bode(
     is the response, one point per window at the window's average
     frequency.  Windows that would run past the end of the sweep are
     dropped, not padded, and so are windows of fewer than 4 samples.
+    Both lengths must be finite and positive, and the hop no shorter than
+    the sweep's largest phase step per sample, so that no two windows
+    start on one sample.
 
     The sweep must cover at least two decades, have an amplitude of at
     least the smallest normal float in magnitude (the filter flushes
@@ -338,11 +341,20 @@ def chirp_bode(
             f"chirp amplitude must be at least {sys.float_info.min!r} in magnitude "
             f"(the filter flushes smaller inputs to zero), got {spec.amplitude!r}"
         )
-    if window_cycles <= 0.0 or hop_cycles <= 0.0:
-        raise ValueError("window_cycles and hop_cycles must be positive")
+    for name, cycles in (("window_cycles", window_cycles), ("hop_cycles", hop_cycles)):
+        # Finite in radians as well: 1e308 cycles is not.
+        if not 0.0 < 2.0 * math.pi * cycles < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {cycles!r}")
+    phase = chirp_phase(spec)
+    # A hop shorter than a phase step could start two windows on one sample.
+    min_hop = float(np.diff(phase).max(initial=0.0)) / (2.0 * math.pi)
+    if hop_cycles < min_hop:
+        raise ValueError(
+            f"hop_cycles must be at least the sweep's largest phase step per sample, "
+            f"{min_hop!r} cycles, got {hop_cycles!r}"
+        )
     cos_states, sin_states = chirp_quadrature(spec)
     y = filter_series(coeffs, TimeSeries(spec.sample_rate, spec.amplitude * sin_states))
-    phase = chirp_phase(spec)
     window_span = 2.0 * math.pi * window_cycles
     hop_span = 2.0 * math.pi * hop_cycles
     # One window more than fit, so rounding cannot lose the last one.

@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from typing import Sequence
 
 import numpy as np
@@ -92,16 +92,8 @@ def _fmt_list5(values: Sequence[float]) -> str:
     return "[" + ", ".join(_fmt5(v) for v in values) + "]"
 
 
-@contextmanager
 def _out_stream(path: str | None):
-    if path is None:
-        yield sys.stdout
-    else:
-        fh = open(path, "w", newline="")
-        try:
-            yield fh
-        finally:
-            fh.close()
+    return nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
 
 
 def write_coeff_file(path: str, coeffs: DigitalFilterCoefficients, provenance: str) -> None:

@@ -8,6 +8,7 @@ wrong column count or a non-numeric field with the file name and line.
 
 from __future__ import annotations
 
+import io
 import warnings
 from contextlib import suppress
 from typing import Sequence, TextIO
@@ -36,9 +37,12 @@ def read_csv(fh: TextIO, header: str) -> np.ndarray:
     where it fails or finds another column count (a line of spaces, a
     non-numeric field, a short row, an empty body) the file is read again
     from its start and scanned line by line, which skips blank lines or
-    names the error.  Only that rescan needs a stream that can seek.
+    names the error.  A stream that cannot seek, such as a pipe, is read
+    into memory first for that rescan.
     """
     name = getattr(fh, "name", "<stream>")
+    if not fh.seekable():
+        fh = io.StringIO(fh.read())
     got = fh.readline().strip()
     if got != header:
         raise ValueError(f"{name}: expected header {header!r}, got {got!r}")

@@ -13,6 +13,12 @@ term, and insignificant whitespace.  "^" binds tighter than multiplication,
 which binds tighter than "+"/"-".  Exactly one division may appear, at the
 top level; exponents above MAX_EXPONENT are rejected.
 
+The whole input is lexed before any grammar rule runs, so a character that
+starts no token is reported first.  The parser then reads the tokens in one
+pass.  A "(" pushes the enclosing sum and the group's sign onto a stack of
+open groups; its ")" pops them and adds the group's sum into the enclosing
+one, power by power and times that sign, as one operand.
+
 Parsing is total: any input string either yields a transfer function or
 raises TfSyntaxError (or a FilterDesignError when the text is well-formed
 but names an impossible filter, e.g. "s").  Offsets in errors count UTF-8
@@ -28,16 +34,16 @@ from .discretize import ContinuousTransferFunction
 
 MAX_EXPONENT = 32
 
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+
+# Every character starts a token; "bad" catches the one that cannot.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<s>s)"
-    r"|(?P<op>[-+*/^()])"
+    rf"(?P<ws>\s+)|(?P<num>{_NUMBER})|(?P<sym>[-+*/^()s])|(?P<bad>.)", re.DOTALL
 )
 
 _UINT_RE = re.compile(r"\d+")
 
-_COEFF_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_COEFF_RE = re.compile(rf"[+-]?{_NUMBER}")
 
 
 class TfSyntaxError(ValueError):
@@ -56,120 +62,19 @@ class TfSyntaxError(ValueError):
         )
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _lex(text: str) -> list[_Token]:
+def _lex(text: str) -> list[tuple[str, str, int]]:
+    """(kind, lexeme, offset) per token; kind is "num", "end" or the lexeme."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "bad":
             raise TfSyntaxError(
-                text, pos, "a number, 's', or an operator", repr(text[pos])
+                text, m.start(), "a number, 's', or an operator", repr(lexeme)
             )
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "end of input", len(text)))
+        if kind != "ws":
+            tokens.append((kind if kind == "num" else lexeme, lexeme, m.start()))
+    tokens.append(("end", "end of input", len(text)))
     return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _lex(text)
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, expected: str) -> "TfSyntaxError":
-        tok = self.peek()
-        found = tok.text if tok.kind == "end" else repr(tok.text)
-        raise TfSyntaxError(self.text, tok.pos, expected, found)
-
-    def poly(self) -> dict[int, float]:
-        acc: dict[int, float] = {}
-        self.operand(acc, negate=False)
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                self.operand(acc, negate=tok.text == "-")
-            else:
-                return acc
-
-    def operand(self, acc: dict[int, float], negate: bool) -> None:
-        sign = -1.0 if negate else 1.0
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.advance()
-            if tok.text == "-":
-                sign = -sign
-            tok = self.peek()
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            inner = self.poly()
-            closer = self.peek()
-            if not (closer.kind == "op" and closer.text == ")"):
-                if closer.kind == "op" and closer.text == "/":
-                    self.fail("')' (division cannot nest inside parentheses)")
-                self.fail("')'")
-            self.advance()
-            for k, v in inner.items():
-                _add_term(acc, k, sign * v)
-            return
-        coeff, pwr = self.term()
-        _add_term(acc, pwr, sign * coeff)
-
-    def term(self) -> tuple[float, int]:
-        tok = self.peek()
-        if tok.kind == "num":
-            coeff = float(tok.text)
-            if math.isinf(coeff):
-                self.fail("a number representable as a float")
-            self.advance()
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "*":
-                self.advance()
-                if self.peek().kind != "s":
-                    self.fail("'s' after '*'")
-                self.advance()
-                return coeff, self.power_suffix()
-            if nxt.kind == "s":
-                self.advance()
-                return coeff, self.power_suffix()
-            return coeff, 0
-        if tok.kind == "s":
-            self.advance()
-            return 1.0, self.power_suffix()
-        self.fail("a number, 's', or '('")
-        raise AssertionError("unreachable")
-
-    def power_suffix(self) -> int:
-        tok = self.peek()
-        if not (tok.kind == "op" and tok.text == "^"):
-            return 1
-        self.advance()
-        exp = self.peek()
-        if exp.kind != "num" or _UINT_RE.fullmatch(exp.text) is None:
-            self.fail("a nonnegative integer exponent")
-        if int(exp.text) > MAX_EXPONENT:
-            self.fail(f"an exponent no greater than {MAX_EXPONENT}")
-        self.advance()
-        return int(exp.text)
 
 
 def _add_term(acc: dict[int, float], pwr: int, coeff: float) -> None:
@@ -185,24 +90,84 @@ def _descending(acc: dict[int, float]) -> list[float]:
 
 def parse_expression(text: str) -> ContinuousTransferFunction:
     """Parse an expression like "2/(s^2 + 2s + 2)" into a transfer function."""
-    p = _Parser(text)
-    num = p.poly()
-    tok = p.peek()
-    if tok.kind == "op" and tok.text == "/":
-        p.advance()
-        den = p.poly()
-        tail = p.peek()
-        if tail.kind == "op" and tail.text == "/":
-            p.fail("end of input (only one division is allowed)")
-        if tail.kind != "end":
-            p.fail("'+', '-', or end of input")
-    elif tok.kind == "end":
-        den = {0: 1.0}
-    else:
-        p.fail("'+', '-', '/', or end of input")
-    return ContinuousTransferFunction.from_descending(
-        _descending(num), _descending(den)
-    )
+    tokens = _lex(text)
+
+    def fail(expected: str) -> TfSyntaxError:
+        kind, lexeme, pos = tokens[i]
+        found = lexeme if kind == "end" else repr(lexeme)
+        return TfSyntaxError(text, pos, expected, found)
+
+    num = None  # the numerator's sum, once "/" is read
+    acc: dict[int, float] = {}  # power -> coefficient of the innermost open sum
+    groups: list[tuple[dict[int, float], float]] = []  # per open "(": outer sum, sign
+    sign, operand, i = 1.0, True, 0  # the next operand's sign; whether one is due
+    while True:
+        kind = tokens[i][0]
+        if operand:
+            if kind == "+" or kind == "-":
+                sign = -sign if kind == "-" else sign
+                i += 1
+                kind = tokens[i][0]
+            if kind == "(":
+                groups.append((acc, sign))
+                acc, sign = {}, 1.0
+                i += 1
+                continue
+            # term := number? ("*"? "s" ("^" uint)?)?
+            coeff, pwr = 1.0, 0
+            if kind == "num":
+                coeff = float(tokens[i][1])
+                if math.isinf(coeff):
+                    raise fail("a number representable as a float")
+                i += 1
+                kind = tokens[i][0]
+                if kind == "*":
+                    i += 1
+                    kind = tokens[i][0]
+                    if kind != "s":
+                        raise fail("'s' after '*'")
+            elif kind != "s":
+                raise fail("a number, 's', or '('")
+            if kind == "s":
+                pwr = 1
+                i += 1
+                if tokens[i][0] == "^":
+                    i += 1
+                    kind, lexeme = tokens[i][:2]
+                    if kind != "num" or _UINT_RE.fullmatch(lexeme) is None:
+                        raise fail("a nonnegative integer exponent")
+                    pwr = int(lexeme)
+                    if pwr > MAX_EXPONENT:
+                        raise fail(f"an exponent no greater than {MAX_EXPONENT}")
+                    i += 1
+            _add_term(acc, pwr, sign * coeff)
+            operand = False
+            continue
+        if kind == "+" or kind == "-":
+            sign, operand = (-1.0 if kind == "-" else 1.0), True
+        elif groups:
+            if kind == "/":
+                raise fail("')' (division cannot nest inside parentheses)")
+            if kind != ")":
+                raise fail("')'")
+            outer, group_sign = groups.pop()
+            for k, v in acc.items():
+                _add_term(outer, k, group_sign * v)
+            acc = outer
+        elif kind == "end":
+            break
+        elif num is None:
+            if kind != "/":
+                raise fail("'+', '-', '/', or end of input")
+            num, acc, sign, operand = acc, {}, 1.0, True
+        elif kind == "/":
+            raise fail("end of input (only one division is allowed)")
+        else:
+            raise fail("'+', '-', or end of input")
+        i += 1
+    if num is None:
+        num, acc = acc, {0: 1.0}
+    return ContinuousTransferFunction.from_descending(_descending(num), _descending(acc))
 
 
 def _parse_coeff_list(text: str, which: str) -> list[float]:

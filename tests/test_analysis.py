@@ -33,7 +33,7 @@ from tustin.discretize import (
     tustin_horner,
 )
 from tustin.runtime import RateMismatchError, process
-from tustin.signals import ChirpSpec, TimeSeries
+from tustin.signals import ChirpSpec, TimeSeries, chirp_phase, sample_count
 
 TWO_PI = 2.0 * math.pi
 RATE = 1000.0
@@ -259,6 +259,32 @@ def test_chirp_validation():
         chirp_bode(LOWPASS, chirp(), window_cycles=0.0)
     with pytest.raises(ValueError):
         chirp_bode(LOWPASS, chirp(), hop_cycles=-1.0)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("window_cycles", math.nan),
+        ("window_cycles", math.inf),
+        ("window_cycles", 1e308),  # finite, but not in radians
+        ("hop_cycles", math.nan),
+        ("hop_cycles", math.inf),
+        ("hop_cycles", 1e-300),
+        ("hop_cycles", 0.001),  # below the 0.1-cycle step at 100 Hz
+    ],
+)
+def test_chirp_refuses_a_window_or_hop_it_cannot_use(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        chirp_bode(LOWPASS, chirp(duration=10.0), **{name: value})
+
+
+def test_chirp_accepts_a_hop_of_the_largest_phase_step():
+    spec = chirp(duration=10.0)
+    step = np.diff(chirp_phase(spec)).max() / TWO_PI
+    points = chirp_bode(LOWPASS, spec, window_cycles=4.0, hop_cycles=step)
+    freqs = [p.freq_hz for p in points]
+    assert len(freqs) <= sample_count(spec)
+    assert all(a < b for a, b in zip(freqs, freqs[1:]))
 
 
 # ------------------------------------------------------------- comparison

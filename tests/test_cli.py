@@ -433,6 +433,22 @@ def test_bode_chirp_rejects_a_subnormal_amplitude(capsys, butter_file):
     assert err.endswith("got 1e-310\n")
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--hop-cycles", "nan"), ("--hop-cycles", "inf"), ("--window-cycles", "inf"),
+     ("--hop-cycles", "1e-300"), ("--hop-cycles", "0.001")],
+)
+def test_bode_chirp_rejects_a_window_or_hop_it_cannot_use(capsys, butter_file, flag, value):
+    code, _, err = run(
+        capsys, "bode", "--method", "chirp", "--coeffs", str(butter_file),
+        "--duration", "10", flag, value,
+    )
+    assert code == 1
+    name = flag[2:].replace("-", "_")
+    assert err.startswith(f"error[INVALID]: {name} must be ")
+    assert err.count("\n") == 1
+
+
 def test_bode_digital_methods_need_coeffs(capsys):
     code, _, err = run(
         capsys, "bode", "--method", "stepped", "--fmin-hz", "1", "--fmax-hz", "10"

@@ -96,3 +96,17 @@ class Pipe(io.StringIO):
 def test_reader_reads_a_well_formed_stream_that_cannot_seek():
     got = read_csv(Pipe(HEADER + "\n1,2,3\n4,5,6\n"), HEADER)
     assert got.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+
+def test_reader_names_the_bad_line_of_a_stream_that_cannot_seek():
+    fh = Pipe(HEADER + "\n1,2,3\n4,five,6\n")
+    fh.name = "/dev/stdin"
+    with pytest.raises(ValueError, match=r"^/dev/stdin:3: non-numeric field"):
+        read_csv(fh, HEADER)
+
+
+def test_reader_skips_a_line_of_spaces_in_a_stream_that_cannot_seek():
+    text = HEADER + "\n1,2,3\n   \n4,5,6\n"
+    got = read_csv(Pipe(text), HEADER)
+    assert got.tobytes() == read_csv(named(text), HEADER).tobytes()
+    assert got.shape == (2, 3)

@@ -160,6 +160,31 @@ def test_truncated_inputs_fail_cleanly():
             parse_expression(text)
 
 
+@pytest.mark.parametrize(
+    "text, offset, message",
+    [
+        ("1+µ", 2, "expected a number, 's', or an operator, found 'µ'"),
+        ("1+*", 2, "expected a number, 's', or '(', found '*'"),
+        ("1/(9e999s+1)", 3, "expected a number representable as a float, found '9e999'"),
+        ("2*3", 2, "expected 's' after '*', found '3'"),
+        ("1/(s^2.5)", 5, "expected a nonnegative integer exponent, found '2.5'"),
+        ("1/(s^33)", 5, "expected an exponent no greater than 32, found '33'"),
+        ("1/(s+1", 6, "expected ')', found end of input"),
+        ("1/(1/(s+1))", 4,
+         "expected ')' (division cannot nest inside parentheses), found '/'"),
+        ("2 3", 2, "expected '+', '-', '/', or end of input, found '3'"),
+        ("1/(s+1))", 7, "expected '+', '-', or end of input, found ')'"),
+        ("1/(s+1)/(s+2)", 7,
+         "expected end of input (only one division is allowed), found '/'"),
+    ],
+)
+def test_every_syntax_error_names_its_offset_and_expectation(text, offset, message):
+    with pytest.raises(TfSyntaxError) as exc_info:
+        parse_expression(text)
+    assert exc_info.value.byte_offset == offset
+    assert str(exc_info.value) == f"at byte {offset}: {message}"
+
+
 def test_improper_ratio_rejected():
     with pytest.raises(NonCausalError):
         parse_expression("(s^2+1)/(s+1)")
