@@ -347,7 +347,7 @@ def chirp_bode(
             raise ValueError(f"{name} must be finite and positive, got {cycles!r}")
     phase = chirp_phase(spec)
     # A hop shorter than a phase step could start two windows on one sample.
-    min_hop = float(np.diff(phase).max(initial=0.0)) / (2.0 * math.pi)
+    min_hop = float(np.diff(phase).max()) / (2.0 * math.pi)
     if hop_cycles < min_hop:
         raise ValueError(
             f"hop_cycles must be at least the sweep's largest phase step per sample, "

@@ -80,6 +80,22 @@ def test_parenthesized_groups_add():
     assert dens(tf) == [1.0, 4.0]
 
 
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("-(s+1) + 2s", [1.0, -1.0]),  # the group's sign applies to its whole sum
+        ("1 - -(s - 2)", [1.0, -1.0]),  # a unary sign after a binary one
+        ("0.1 + (0.2 + 0.3)", [0.6]),  # the group is summed first: not 0.6000000000000001
+        ("s + (-0.0)", [1.0, -0.0]),  # a merged group keeps a signed zero
+    ],
+)
+def test_a_group_joins_the_enclosing_sum_at_its_close(text, want):
+    got = nums(parse_expression(text + "/(s^2+1)"))
+    assert [(v, math.copysign(1.0, v)) for v in got] == [
+        (v, math.copysign(1.0, v)) for v in want
+    ]
+
+
 def test_exponent_one_and_zero():
     tf = parse_expression("(s^1 + 2)/(s^2 + s^0)")
     assert nums(tf) == [1.0, 2.0]
