@@ -6,6 +6,9 @@ Three independent views of the same filter are available:
 * analytic digital response of the difference equation on the unit circle,
 * measured responses, by stepped-sine fitting or by demodulating a chirp.
 
+Both analytic views are numpy's ``np.polyval(num, x) / np.polyval(den, x)``
+on the whole grid, bit for bit, with x = j*w or z^-1 = exp(-j*w*dt).
+
 The measured views know their input exactly, so they fit only the filter
 output, by least squares against the generator's own sine: the stepped
 probe itself, or the chirp's phasor states (sin_i, cos_i).
@@ -108,24 +111,7 @@ def _rational(
     zero = np.flatnonzero(d == 0.0)
     if zero.size:
         raise DenominatorZeroError(f"{what} vanishes at omega = {w[zero[0]].item()}")
-    return _divide(np.polyval(num, x), d)
-
-
-def _divide(n: np.ndarray, d: np.ndarray) -> np.ndarray:
-    # n / d by Python's own complex division (Smith's method), which
-    # numpy's differs from in the last bit: results stay those of the
-    # scalar arithmetic the curves have always been computed with.
-    big = np.abs(d.real) >= np.abs(d.imag)
-    p = np.where(big, d.imag, d.real)
-    q = np.where(big, d.real, d.imag)
-    u = np.where(big, n.real, n.imag)
-    v = np.where(big, n.imag, n.real)
-    ratio = p / q
-    denom = q + p * ratio
-    out = np.empty(n.shape, dtype=complex)
-    out.real = (u + v * ratio) / denom
-    out.imag = np.where(big, v - u * ratio, u * ratio - v) / denom
-    return out
+    return np.polyval(num, x) / d
 
 
 def _continuous(tf: ContinuousTransferFunction, omega: Sequence[float]) -> np.ndarray:

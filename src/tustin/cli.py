@@ -275,6 +275,11 @@ def _frequency_grid(args: argparse.Namespace) -> np.ndarray:
 
 def cmd_bode(args: argparse.Namespace) -> int:
     method = args.method
+    # Each method reads one source; a flag of the other would go unread.
+    unread = ("coeffs",) if method == "analytic-continuous" else ("tf", "num", "den")
+    for name in unread:
+        if getattr(args, name) is not None:
+            raise _UsageError(f"method {method!r} does not take --{name}")
     if method == "analytic-continuous":
         tf, _ = _tf_from_args(args)
         points = bode_continuous(tf, _frequency_grid(args))

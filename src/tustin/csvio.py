@@ -64,7 +64,16 @@ def read_csv(fh: TextIO, header: str) -> np.ndarray:
                 f"{name}:{lineno}: expected {ncols} columns, got {len(fields)}"
             )
         try:
-            values.extend(map(float, fields))
+            values.extend(map(_number, fields))
         except ValueError:
             raise ValueError(f"{name}:{lineno}: non-numeric field") from None
     return np.array(values, dtype=np.float64).reshape(-1, ncols)
+
+
+def _number(field: str) -> float:
+    # float() also reads digit-group underscores and other scripts' digits,
+    # which numpy's parser, and so the format, refuses.
+    text = field.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(field)
+    return float(text)

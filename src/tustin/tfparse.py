@@ -34,14 +34,15 @@ from .discretize import ContinuousTransferFunction
 
 MAX_EXPONENT = 32
 
-_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# ASCII digits only: \d, like float(), also takes other scripts' digits.
+_NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
 # Every character starts a token; "bad" catches the one that cannot.
 _TOKEN_RE = re.compile(
     rf"(?P<ws>\s+)|(?P<num>{_NUMBER})|(?P<sym>[-+*/^()s])|(?P<bad>.)", re.DOTALL
 )
 
-_UINT_RE = re.compile(r"\d+")
+_UINT_RE = re.compile(r"[0-9]+")
 
 _COEFF_RE = re.compile(rf"[+-]?{_NUMBER}")
 
@@ -136,7 +137,9 @@ def parse_expression(text: str) -> ContinuousTransferFunction:
                     kind, lexeme = tokens[i][:2]
                     if kind != "num" or _UINT_RE.fullmatch(lexeme) is None:
                         raise fail("a nonnegative integer exponent")
-                    pwr = int(lexeme)
+                    # Length first: int() refuses more than 4,300 digits.
+                    digits = lexeme.lstrip("0") or "0"
+                    pwr = int(digits) if len(digits) <= len(str(MAX_EXPONENT)) else math.inf
                     if pwr > MAX_EXPONENT:
                         raise fail(f"an exponent no greater than {MAX_EXPONENT}")
                     i += 1

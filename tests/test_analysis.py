@@ -90,6 +90,52 @@ def test_digital_rejects_at_and_above_nyquist():
     analytic_response_digital(BUTTER, math.pi * RATE * 0.999)
 
 
+def random_stable_design(seed):
+    # Orders 1-12: real poles and damped pairs at corners 0.5-400 Hz, and
+    # up to as many real zeros as poles.
+    rng = np.random.default_rng(seed)
+    order = 1 + seed % 12
+    poles = []
+    while len(poles) < order:
+        w = TWO_PI * math.exp(rng.uniform(math.log(0.5), math.log(400.0)))
+        if order - len(poles) >= 2 and rng.random() < 0.5:
+            zeta = rng.uniform(0.05, 1.0)
+            p = complex(-zeta * w, w * math.sqrt(1.0 - zeta * zeta))
+            poles += [p, p.conjugate()]
+        else:
+            poles.append(-w)
+    nzeros = rng.integers(0, order + 1)
+    zeros = -TWO_PI * np.exp(rng.uniform(math.log(0.5), math.log(400.0), nzeros))
+    num = rng.uniform(0.1, 10.0) * np.atleast_1d(np.real(np.poly(zeros)))
+    den = np.real(np.poly(poles))
+    return ContinuousTransferFunction.from_descending(num.tolist(), den.tolist())
+
+
+@pytest.mark.parametrize("tf", [
+    catalog.lowpass1(TWO_PI * 10.0),
+    catalog.butterworth2(TWO_PI * 10.0),
+    catalog.notch(TWO_PI * 60.0, 5.0),
+    catalog.pid(2.0, 1.0, 0.05, 0.001),
+    catalog.leadlag(1.0, TWO_PI * 5.0, TWO_PI * 50.0),
+    catalog.multiorder_example(),
+    *[random_stable_design(seed) for seed in range(24)],
+])
+def test_analytic_responses_are_numpys_polyval_ratio_bitwise(tf):
+    coeffs = tustin_horner(tf, RATE)
+    w = TWO_PI * np.logspace(-2.0, math.log10(0.4999 * RATE), 500)
+    s = 1j * w
+    num, den = tf.numerator.descending(), tf.denominator.descending()
+    want_c = np.polyval(num, s) / np.polyval(den, s)
+    zinv = np.exp(-1j * w / RATE)
+    dnum = coeffs.a_hat[::-1]
+    dden = [-b for b in reversed(coeffs.b_hat)] + [1.0]
+    want_d = np.polyval(dnum, zinv) / np.polyval(dden, zinv)
+    got_c = np.array([analytic_response_continuous(tf, wk) for wk in w.tolist()])
+    got_d = np.array([analytic_response_digital(coeffs, wk) for wk in w.tolist()])
+    assert got_c.tobytes() == want_c.tobytes()
+    assert got_d.tobytes() == want_d.tobytes()
+
+
 def test_bode_point_lists():
     freqs = [1.0, 10.0, 100.0]
     pts = bode_continuous(catalog.butterworth2(TWO_PI * 10.0), freqs)

@@ -102,6 +102,12 @@ def test_exit_code_parse_error(capsys):
     assert "byte 5" in err
 
 
+def test_exit_code_parse_error_for_an_exponent_of_5000_digits(capsys):
+    code, _, err = run(capsys, "design", "--tf", "1/(s^" + "3" * 5000 + ")", "--rate", "1")
+    assert code == 2
+    assert err.startswith("error[PARSE]: at byte 5: expected an exponent no greater than 32, ")
+
+
 def test_exit_code_noncausal(capsys):
     code, _, err = run(capsys, "design", "--num", "1,0", "--den", "1", "--rate", "1000")
     assert code == 3
@@ -455,6 +461,23 @@ def test_bode_digital_methods_need_coeffs(capsys):
     )
     assert code == 2
     assert err.startswith("error[ARGS]: ")
+
+
+@pytest.mark.parametrize("method, flag, value", [
+    ("analytic-digital", "--tf", "1/(s+1)"),
+    ("stepped", "--num", "1"),
+    ("chirp", "--den", "1,1"),
+    ("analytic-continuous", "--coeffs", "{coeffs}"),
+])
+def test_bode_refuses_the_other_methods_source(capsys, butter_file, method, flag, value):
+    # the flag would be read by no method: the curve would be another filter's
+    source = ["--coeffs", str(butter_file)] if flag != "--coeffs" else ["--tf", "1/(s+1)"]
+    code, _, err = run(
+        capsys, "bode", "--method", method, *source, flag, value.format(coeffs=butter_file),
+        "--duration", "10",
+    )
+    assert code == 2
+    assert err == f"error[ARGS]: method {method!r} does not take {flag}\n"
 
 
 @pytest.mark.parametrize("flag", [

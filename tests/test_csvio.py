@@ -110,3 +110,28 @@ def test_reader_skips_a_line_of_spaces_in_a_stream_that_cannot_seek():
     got = read_csv(Pipe(text), HEADER)
     assert got.tobytes() == read_csv(named(text), HEADER).tobytes()
     assert got.shape == (2, 3)
+
+
+@pytest.mark.parametrize("field", ["1_0", "\uff11", "\u0663"])
+@pytest.mark.parametrize("spaces", ["", "   \n"], ids=["", "line-of-spaces"])
+def test_reader_refuses_what_numpys_parser_refuses(field, spaces):
+    # float() reads each of these; the scan after numpy fails must not
+    text = f"{HEADER}\n{spaces}1,2,3\n4,{field},6\n"
+    line = 4 if spaces else 3
+    for fh in (named(text), Pipe(text)):
+        with pytest.raises(ValueError, match=rf"^(curve\.csv|<stream>):{line}: non-numeric field$"):
+            read_csv(fh, HEADER)
+
+
+class NoRescan(io.StringIO):
+    """A file that fails if it is read a second time."""
+
+    name = "curve.csv"
+
+    def seek(self, *args):
+        raise AssertionError("well-formed input was scanned line by line")
+
+
+def test_reader_parses_well_formed_input_in_one_pass():
+    got = read_csv(NoRescan(HEADER + "\n1,2,3\n-4e5,nan,inf\n"), HEADER)
+    assert got.tobytes() == np.array([[1.0, 2.0, 3.0], [-4e5, np.nan, np.inf]]).tobytes()

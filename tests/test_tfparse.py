@@ -100,6 +100,8 @@ def test_exponent_one_and_zero():
     tf = parse_expression("(s^1 + 2)/(s^2 + s^0)")
     assert nums(tf) == [1.0, 2.0]
     assert dens(tf) == [1.0, 0.0, 1.0]
+    padded = parse_expression("1/(s^" + "0" * 5000 + "1+1)")
+    assert dens(padded) == [1.0, 1.0]
 
 
 def test_scientific_notation_coefficients():
@@ -158,6 +160,16 @@ def test_oversize_exponent_rejected():
         parse_expression(f"1/(s^{MAX_EXPONENT + 1})")
 
 
+def test_an_exponent_is_bounded_by_its_digits_at_any_length():
+    # int() refuses more than 4,300 digits: the bound must be met first
+    found = []
+    for count in (40, 5000):
+        with pytest.raises(TfSyntaxError) as exc_info:
+            parse_expression("1/(s^" + "3" * count + ")")
+        found.append((exc_info.value.expected, exc_info.value.byte_offset))
+    assert found == [(f"an exponent no greater than {MAX_EXPONENT}", 5)] * 2
+
+
 def test_fractional_exponent_rejected():
     with pytest.raises(TfSyntaxError):
         parse_expression("1/(s^2.5)")
@@ -180,6 +192,8 @@ def test_truncated_inputs_fail_cleanly():
     "text, offset, message",
     [
         ("1+µ", 2, "expected a number, 's', or an operator, found 'µ'"),
+        # float() reads an Arabic-Indic three and a fullwidth one; the grammar does not
+        ("\u0663/(s+\uff11)", 0, "expected a number, 's', or an operator, found '\u0663'"),
         ("1+*", 2, "expected a number, 's', or '(', found '*'"),
         ("1/(9e999s+1)", 3, "expected a number representable as a float, found '9e999'"),
         ("2*3", 2, "expected 's' after '*', found '3'"),
@@ -235,6 +249,14 @@ def test_coeff_lists_reject_junk():
         parse_coeff_lists("1e999", "1")
     with pytest.raises(TfSyntaxError):
         parse_coeff_lists("1", "1,2,s")
+
+
+def test_coeff_lists_take_only_ascii_digits():
+    with pytest.raises(TfSyntaxError) as exc_info:
+        parse_coeff_lists("\u0663", "1,\uff12")
+    assert str(exc_info.value) == (
+        "at byte 0: expected a decimal number in the numerator list, found '\u0663'"
+    )
 
 
 # ------------------------------------------------------------ round trip
