@@ -315,13 +315,22 @@ def chirp_bode(
     the sweep's largest phase step per sample, so that no two windows
     start on one sample.
 
-    The sweep must cover at least two decades, have an amplitude of at
+    The sweep must cover at least two decades, end below the Nyquist
+    frequency (AboveNyquistError otherwise), have an amplitude of at
     least the smallest normal float in magnitude (the filter flushes
     smaller inputs to zero) and be sampled at the filter's design rate;
     :func:`~tustin.runtime.filter_series` raises RateMismatchError otherwise.
     """
     if spec.omega_max < 100.0 * spec.omega_min:
         raise ValueError("sweep must cover at least two decades")
+    # Above Nyquist the samples are those of an alias; its response would be
+    # reported at the wrong frequency.
+    nyquist = math.pi * spec.sample_rate
+    if spec.omega_max >= nyquist:
+        raise AboveNyquistError(
+            f"sweep end omega = {spec.omega_max} rad/s is not below the Nyquist "
+            f"angular frequency {nyquist} rad/s"
+        )
     if abs(spec.amplitude) < sys.float_info.min:
         raise ValueError(
             f"chirp amplitude must be at least {sys.float_info.min!r} in magnitude "

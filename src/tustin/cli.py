@@ -41,7 +41,7 @@ from .discretize import (
     pole_radii,
     tustin_horner,
 )
-from .runtime import RateMismatchError, filter_series
+from .runtime import UNIT_CIRCLE_MARGIN, RateMismatchError, filter_series
 # Not called here: perfbench's span tests expect the fold in this namespace.
 from .runtime import process  # noqa: F401
 from .signals import CHIRP_KINDS, ChirpSpec, TimeSeries, generate_chirp
@@ -62,6 +62,21 @@ FAMILIES = {
     "leadlag": (catalog.leadlag, ("gain", "zero_hz", "pole_hz")),
     "multiorder": (catalog.multiorder_example, ()),
 }
+
+# The flags each bode method reads besides --method and --out, its source
+# first: analytic-continuous takes H(s) from --tf, or --num with --den.
+_GRID = ("fmin_hz", "fmax_hz", "points")
+BODE_METHODS = {
+    "analytic-continuous": ("tf", "num", "den", *_GRID),
+    "analytic-digital": ("coeffs", *_GRID),
+    "stepped": ("coeffs", *_GRID, "settle_cycles", "measure_cycles"),
+    "chirp": ("coeffs", "kind", "fmin_hz", "fmax_hz", "duration", "amplitude",
+              "window_cycles", "hop_cycles"),
+}
+
+# Names every design and bode variant reads: the subcommand, the variant
+# itself (family or method), the design rate and the output path.
+_ALWAYS_READ = ("command", "func", "family", "method", "rate", "out")
 
 # CSV time columns carry 9 significant digits, so a re-derived sample rate
 # can differ from the design rate by roundoff alone; rates this close are
@@ -166,42 +181,49 @@ def first_irregular_sample(times: np.ndarray, rate: float) -> int | None:
     return int(bad[0]) + 1 if bad.size else None
 
 
-def _tf_from_args(args: argparse.Namespace) -> tuple[ContinuousTransferFunction, str]:
-    family = getattr(args, "family", None)
-    sources = sum(
-        [family is not None, args.tf is not None,
-         args.num is not None or args.den is not None]
-    )
-    if sources != 1:
+def _refuse_unread(args: argparse.Namespace, variant: str, reads: Sequence[str]) -> None:
+    # design and bode parse with argument_default=SUPPRESS, so vars() holds
+    # only the flags given, in command-line order.
+    for name in vars(args):
+        if name not in reads and name not in _ALWAYS_READ:
+            raise _UsageError(f"{variant} does not take --{name.replace('_', '-')}")
+
+
+def _tf_from_args(args: argparse.Namespace,
+                  reads: Sequence[str] = ()) -> tuple[ContinuousTransferFunction, str]:
+    """H(s) from its source: the family, else the first of --tf and --num/--den.
+
+    Any flag given that neither the source nor ``reads`` names is refused.
+    """
+    given = vars(args)
+    family = given.get("family")
+    first = next((name for name in given if name in ("tf", "num", "den")), None)
+    if family is not None:
+        variant, names = f"family {family!r}", FAMILIES[family][1]
+    elif first == "tf":
+        variant, names = "source --tf", ("tf",)
+    elif first is not None:
+        variant, names = "source --num/--den", ("num", "den")
+    else:
         raise _UsageError(
             "give exactly one transfer function source: a catalog family, "
             "--tf, or --num with --den"
         )
-    if args.tf is not None:
-        return parse_expression(args.tf), args.tf
+    _refuse_unread(args, variant, (*names, *reads))
+    for name in names:
+        if name not in given:
+            raise _UsageError(f"{variant} requires --{name.replace('_', '-')}")
     if family is not None:
-        return _tf_from_family(args)
-    if args.num is None or args.den is None:
-        raise _UsageError("--num and --den must be given together")
+        values = [given[name] for name in names]
+        settings = ", ".join(f"{n}={v}" for n, v in zip(names, values))
+        params = [
+            2.0 * math.pi * v if n.endswith("_hz") else v for n, v in zip(names, values)
+        ]
+        return FAMILIES[family][0](*params), f"{family}({settings})"
+    if first == "tf":
+        return parse_expression(args.tf), args.tf
     tf = parse_coeff_lists(args.num, args.den)
     return tf, canonical_text(tf)
-
-
-def _tf_from_family(args: argparse.Namespace) -> tuple[ContinuousTransferFunction, str]:
-    fam = args.family
-    build, names = FAMILIES[fam]
-    values = []
-    for name in names:
-        v = getattr(args, name)
-        if v is None:
-            flag = "--" + name.replace("_", "-")
-            raise _UsageError(f"family {fam!r} requires {flag}")
-        values.append(v)
-    settings = ", ".join(f"{n}={v}" for n, v in zip(names, values))
-    params = [
-        2.0 * math.pi * v if n.endswith("_hz") else v for n, v in zip(names, values)
-    ]
-    return build(*params), f"{fam}({settings})"
 
 
 def cmd_design(args: argparse.Namespace) -> int:
@@ -211,7 +233,9 @@ def cmd_design(args: argparse.Namespace) -> int:
     print(f"b_hat = {_fmt_list5(coeffs.b_hat)}")
     radii = pole_radii(coeffs)
     print(f"z-pole radii: {_fmt_list5(radii)}")
-    if any(r > 1.0 for r in radii):
+    # pid's integrator maps onto z = 1 and np.roots returns it a rounding
+    # error to either side, as filter_series allows for.
+    if any(r > 1.0 + UNIT_CIRCLE_MARGIN for r in radii):
         print(
             "warning: a pole lies outside the unit circle; the difference "
             "equation is unstable at this rate"
@@ -222,12 +246,13 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def _chirp_spec(args: argparse.Namespace, rate: float) -> ChirpSpec:
+    # The defaults for chirp and bode alike; chirp requires --duration.
     return ChirpSpec(
-        kind=args.kind,
+        kind=getattr(args, "kind", "exponential"),
         omega_min=2.0 * math.pi * args.fmin_hz,
         omega_max=2.0 * math.pi * args.fmax_hz,
-        duration_s=args.duration,
-        amplitude=args.amplitude,
+        duration_s=getattr(args, "duration", 120.0),
+        amplitude=getattr(args, "amplitude", 1.0),
         sample_rate=rate,
     )
 
@@ -268,40 +293,31 @@ def cmd_filter(args: argparse.Namespace) -> int:
 def _frequency_grid(args: argparse.Namespace) -> np.ndarray:
     if not (0.0 < args.fmin_hz < args.fmax_hz):
         raise _UsageError("need 0 < --fmin-hz < --fmax-hz")
-    if args.points < 2:
+    points = getattr(args, "points", 200)
+    if points < 2:
         raise _UsageError("--points must be at least 2")
-    return np.logspace(math.log10(args.fmin_hz), math.log10(args.fmax_hz), args.points)
+    return np.logspace(math.log10(args.fmin_hz), math.log10(args.fmax_hz), points)
 
 
 def cmd_bode(args: argparse.Namespace) -> int:
     method = args.method
-    # Each method reads one source; a flag of the other would go unread.
-    unread = ("coeffs",) if method == "analytic-continuous" else ("tf", "num", "den")
-    for name in unread:
-        if getattr(args, name) is not None:
-            raise _UsageError(f"method {method!r} does not take --{name}")
+    _refuse_unread(args, f"method {method!r}", BODE_METHODS[method])
+    # The --*-cycles flags tune the measured methods.  They go to analysis
+    # only when given, so its defaults hold.
+    tuning = {name: v for name, v in vars(args).items() if name.endswith("_cycles")}
     if method == "analytic-continuous":
-        tf, _ = _tf_from_args(args)
+        tf, _ = _tf_from_args(args, _GRID)
         points = bode_continuous(tf, _frequency_grid(args))
+    elif not hasattr(args, "coeffs"):
+        raise _UsageError(f"method {method!r} requires --coeffs")
     else:
-        if args.coeffs is None:
-            raise _UsageError(f"method {method!r} requires --coeffs")
         coeffs, _ = read_coeff_file(args.coeffs)
         if method == "analytic-digital":
             points = bode_digital(coeffs, _frequency_grid(args))
         elif method == "stepped":
-            points = stepped_sine_bode(
-                coeffs,
-                _frequency_grid(args),
-                settle_cycles=args.settle_cycles,
-                measure_cycles=args.measure_cycles,
-            )
+            points = stepped_sine_bode(coeffs, _frequency_grid(args), **tuning)
         else:
-            points = chirp_bode(
-                coeffs, _chirp_spec(args, coeffs.loop_rate_hz),
-                window_cycles=args.window_cycles,
-                hop_cycles=args.hop_cycles,
-            )
+            points = chirp_bode(coeffs, _chirp_spec(args, coeffs.loop_rate_hz), **tuning)
     with _out_stream(args.out) as fh:
         write_bode_csv(points, fh)
     return 0
@@ -341,6 +357,7 @@ def _add_tf_source_arguments(p: argparse.ArgumentParser, with_family: bool) -> N
     p.add_argument(
         "family",
         nargs="?",
+        default=None,
         choices=list(FAMILIES),
         help="catalog filter family (omit when using --tf or --num/--den)",
     )
@@ -363,21 +380,26 @@ def _build_parser() -> argparse.ArgumentParser:
         "transfer functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # design, chirp and bode leave each flag not given out of the namespace:
+    # _refuse_unread then sees only the flags given, and a default is stated
+    # once, where its flag is read.  --out and the family are set either way.
+    omit = {"argument_default": argparse.SUPPRESS}
 
-    p = sub.add_parser("design", help="convert H(s) to difference-equation coefficients")
+    p = sub.add_parser("design", **omit,
+                       help="convert H(s) to difference-equation coefficients")
     _add_tf_source_arguments(p, with_family=True)
     p.add_argument("--rate", type=float, required=True, help="loop rate f_l, Hz")
-    p.add_argument("--out", help="write a JSON coefficient file here")
+    p.add_argument("--out", default=None, help="write a JSON coefficient file here")
     p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("chirp", help="generate a frequency sweep CSV")
-    p.add_argument("--kind", choices=CHIRP_KINDS, default="exponential")
+    p = sub.add_parser("chirp", help="generate a frequency sweep CSV", **omit)
+    p.add_argument("--kind", choices=CHIRP_KINDS)
     p.add_argument("--fmin-hz", type=float, required=True)
     p.add_argument("--fmax-hz", type=float, required=True)
     p.add_argument("--duration", type=float, required=True, help="sweep length, s")
-    p.add_argument("--amplitude", type=float, default=1.0)
+    p.add_argument("--amplitude", type=float)
     p.add_argument("--rate", type=float, required=True, help="sample rate, Hz")
-    p.add_argument("--out", help="output CSV (default stdout)")
+    p.add_argument("--out", default=None, help="output CSV (default stdout)")
     p.set_defaults(func=cmd_chirp)
 
     p = sub.add_parser("filter", help="run a designed filter over a CSV signal")
@@ -388,30 +410,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV (default stdout)")
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("bode", help="produce a frequency-response CSV")
-    p.add_argument(
-        "--method",
-        required=True,
-        choices=["analytic-continuous", "analytic-digital", "stepped", "chirp"],
-    )
+    p = sub.add_parser("bode", help="produce a frequency-response CSV", **omit)
+    p.add_argument("--method", required=True, choices=list(BODE_METHODS))
     _add_tf_source_arguments(p, with_family=False)
     p.add_argument("--coeffs", help="JSON coefficient file (digital methods)")
+    # Every method reads the band, so its defaults can be argparse's.
     p.add_argument("--fmin-hz", type=float, default=0.1)
     p.add_argument("--fmax-hz", type=float, default=100.0)
-    p.add_argument("--points", type=int, default=200,
+    p.add_argument("--points", type=int,
                    help="log-spaced grid size (analytic/stepped methods)")
     p.add_argument("--settle-cycles", type=int,
                    help="input cycles settled per stepped probe (>= 5; default: "
                         "derived from the design's impulse response)")
-    p.add_argument("--measure-cycles", type=int, default=5)
-    p.add_argument("--kind", choices=CHIRP_KINDS, default="exponential",
-                   help="sweep law (chirp method)")
-    p.add_argument("--duration", type=float, default=120.0,
-                   help="sweep length, s (chirp method)")
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--window-cycles", type=float, default=4.0)
-    p.add_argument("--hop-cycles", type=float, default=1.0)
-    p.add_argument("--out", help="output CSV (default stdout)")
+    p.add_argument("--measure-cycles", type=int)
+    p.add_argument("--kind", choices=CHIRP_KINDS, help="sweep law (chirp method)")
+    p.add_argument("--duration", type=float, help="sweep length, s (chirp method)")
+    p.add_argument("--amplitude", type=float)
+    p.add_argument("--window-cycles", type=float)
+    p.add_argument("--hop-cycles", type=float)
+    p.add_argument("--out", default=None, help="output CSV (default stdout)")
     p.set_defaults(func=cmd_bode)
 
     p = sub.add_parser("compare", help="deviation between two response CSVs")
@@ -434,6 +451,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as e:  # argparse exits 0 once --help is printed
+        return e.code
     except _UsageError as e:
         return _fail("ARGS", 2, str(e))
     except TfSyntaxError as e:

@@ -9,7 +9,7 @@ down in engineering notes::
 
 with parentheses allowed around a polynomial, implicit multiplication
 between a coefficient and s ("10s"), one optional sign at the start of a
-term, and insignificant whitespace.  "^" binds tighter than multiplication,
+term, and insignificant ASCII whitespace.  "^" binds tighter than multiplication,
 which binds tighter than "+"/"-".  Exactly one division may appear, at the
 top level; exponents above MAX_EXPONENT are rejected.
 
@@ -37,9 +37,11 @@ MAX_EXPONENT = 32
 # ASCII digits only: \d, like float(), also takes other scripts' digits.
 _NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
-# Every character starts a token; "bad" catches the one that cannot.
+# Every character starts a token; "bad" catches the one that cannot.  Like
+# the digits, whitespace is ASCII only: re.ASCII keeps \s from taking U+00A0.
 _TOKEN_RE = re.compile(
-    rf"(?P<ws>\s+)|(?P<num>{_NUMBER})|(?P<sym>[-+*/^()s])|(?P<bad>.)", re.DOTALL
+    rf"(?P<ws>\s+)|(?P<num>{_NUMBER})|(?P<sym>[-+*/^()s])|(?P<bad>.)",
+    re.DOTALL | re.ASCII,
 )
 
 _UINT_RE = re.compile(r"[0-9]+")
@@ -175,7 +177,7 @@ def parse_expression(text: str) -> ContinuousTransferFunction:
 
 def _parse_coeff_list(text: str, which: str) -> list[float]:
     out = []
-    for m in re.finditer(r"[^\s,]+", text):
+    for m in re.finditer(r"[^\s,]+", text, re.ASCII):
         if _COEFF_RE.fullmatch(m.group()) is None:
             raise TfSyntaxError(
                 text, m.start(), f"a decimal number in the {which} list",
@@ -195,7 +197,7 @@ def _parse_coeff_list(text: str, which: str) -> list[float]:
 
 
 def parse_coeff_lists(num_text: str, den_text: str) -> ContinuousTransferFunction:
-    """Parse descending coefficient lists, comma or whitespace separated."""
+    """Parse descending coefficient lists, comma or ASCII-whitespace separated."""
     num = _parse_coeff_list(num_text, "numerator")
     den = _parse_coeff_list(den_text, "denominator")
     return ContinuousTransferFunction.from_descending(num, den)

@@ -324,6 +324,14 @@ def test_chirp_refuses_a_window_or_hop_it_cannot_use(name, value):
         chirp_bode(LOWPASS, chirp(duration=10.0), **{name: value})
 
 
+@pytest.mark.parametrize("fmax", [900.0, RATE / 2.0])
+def test_chirp_refuses_a_sweep_that_reaches_nyquist(fmax):
+    # above Nyquist the samples are an alias's: 900 Hz at 1 kHz would be
+    # reported with the response at ~100 Hz
+    with pytest.raises(AboveNyquistError, match="is not below the Nyquist"):
+        chirp_bode(LOWPASS, chirp(fmin=1.0, fmax=fmax, duration=20.0))
+
+
 def test_chirp_accepts_a_hop_of_the_largest_phase_step():
     spec = chirp(duration=10.0)
     step = np.diff(chirp_phase(spec)).max() / TWO_PI

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from tustin import catalog
 from tustin.analysis import stepped_sine_bode, write_bode_csv
 from tustin.cli import first_irregular_sample, main, read_coeff_file, write_coeff_file
-from tustin.discretize import DigitalFilterCoefficients, tustin_horner
+from tustin.discretize import DigitalFilterCoefficients, pole_radii, tustin_horner
 
 
 def run(capsys, *argv):
@@ -76,6 +77,17 @@ def test_design_warns_on_unstable_pole(capsys):
     )
     assert code == 0
     assert "unstable" in out
+
+
+def test_design_does_not_warn_for_a_pole_on_the_unit_circle(capsys):
+    # pid's integrator maps onto z = 1; np.roots returns it a rounding error out
+    assert max(pole_radii(tustin_horner(catalog.pid(1.0, 3.0, 0.5, 300.0), 1000.0))) > 1.0
+    code, out, err = run(
+        capsys, "design", "pid", "--kp", "1", "--ki", "3", "--kd", "0.5", "--tau", "300",
+        "--rate", "1000",
+    )
+    assert (code, err) == (0, "")
+    assert "warning" not in out
 
 
 def test_design_requires_exactly_one_source(capsys):
@@ -664,6 +676,133 @@ def test_design_family_names_the_first_missing_flag(capsys):
     code, _, err = run(capsys, "design", "pid", "--kp", "1", "--rate", "1000")
     assert code == 2
     assert err == "error[ARGS]: family 'pid' requires --ki\n"
+
+
+# ------------------------------------------------- flags each variant reads
+
+# A value each flag below parses.
+FLAG_VALUES = {
+    "--tf": "1/(s+1)", "--num": "1", "--den": "1,1", "--coeffs": "{coeffs}",
+    "--cutoff-hz": "3", "--notch-hz": "3", "--q": "3", "--kp": "3", "--ki": "3",
+    "--kd": "3", "--tau": "3", "--gain": "3", "--zero-hz": "3", "--pole-hz": "3",
+    "--points": "3", "--settle-cycles": "20", "--measure-cycles": "3", "--kind": "linear",
+    "--duration": "3", "--amplitude": "3", "--window-cycles": "3", "--hop-cycles": "3",
+}
+
+# Per design source and bode method: its variant's name in the error, and
+# every flag of the subcommand it does not read.
+UNREAD = [
+    (["design", "lowpass1", "--cutoff-hz", "10", "--rate", "1000"], "family 'lowpass1'",
+     "--tf --num --den --notch-hz --q --kp --ki --kd --tau --gain --zero-hz --pole-hz"),
+    (["design", "butter2", "--cutoff-hz", "10", "--rate", "1000"], "family 'butter2'",
+     "--tf --num --den --notch-hz --q --kp --ki --kd --tau --gain --zero-hz --pole-hz"),
+    (["design", "notch", "--notch-hz", "60", "--q", "5", "--rate", "1000"], "family 'notch'",
+     "--tf --num --den --cutoff-hz --kp --ki --kd --tau --gain --zero-hz --pole-hz"),
+    (["design", "pid", "--kp", "2", "--ki", "0.5", "--kd", "0.1", "--tau", "100",
+      "--rate", "1000"], "family 'pid'",
+     "--tf --num --den --cutoff-hz --notch-hz --q --gain --zero-hz --pole-hz"),
+    (["design", "leadlag", "--gain", "10", "--zero-hz", "1", "--pole-hz", "10",
+      "--rate", "1000"], "family 'leadlag'",
+     "--tf --num --den --cutoff-hz --notch-hz --q --kp --ki --kd --tau"),
+    (["design", "multiorder", "--rate", "1000"], "family 'multiorder'",
+     "--tf --num --den --cutoff-hz --notch-hz --q --kp --ki --kd --tau --gain --zero-hz "
+     "--pole-hz"),
+    (["design", "--tf", "1/(s+1)", "--rate", "1000"], "source --tf",
+     "--num --den --cutoff-hz --notch-hz --q --kp --ki --kd --tau --gain --zero-hz "
+     "--pole-hz"),
+    (["design", "--num", "1", "--den", "1,1", "--rate", "1000"], "source --num/--den",
+     "--tf --cutoff-hz --notch-hz --q --kp --ki --kd --tau --gain --zero-hz --pole-hz"),
+    (["bode", "--method", "analytic-continuous", "--tf", "1/(s+1)"],
+     "method 'analytic-continuous'",
+     "--coeffs --settle-cycles --measure-cycles --kind --duration --amplitude "
+     "--window-cycles --hop-cycles"),
+    (["bode", "--method", "analytic-continuous", "--tf", "1/(s+1)"], "source --tf",
+     "--num --den"),
+    (["bode", "--method", "analytic-continuous", "--num", "1", "--den", "1,1"],
+     "source --num/--den", "--tf"),
+    (["bode", "--method", "analytic-digital", "--coeffs", "{coeffs}"],
+     "method 'analytic-digital'",
+     "--tf --num --den --settle-cycles --measure-cycles --kind --duration --amplitude "
+     "--window-cycles --hop-cycles"),
+    (["bode", "--method", "stepped", "--coeffs", "{coeffs}"], "method 'stepped'",
+     "--tf --num --den --kind --duration --amplitude --window-cycles --hop-cycles"),
+    (["bode", "--method", "chirp", "--coeffs", "{coeffs}"], "method 'chirp'",
+     "--tf --num --den --points --settle-cycles --measure-cycles"),
+]
+
+
+@pytest.mark.parametrize("argv, variant, flag", [
+    pytest.param(argv, variant, flag, id=f"{' '.join(argv[:3])}-{flag}")
+    for argv, variant, flags in UNREAD for flag in flags.split()
+])
+def test_every_flag_a_variant_does_not_read_exits_2(capsys, butter_file, argv, variant, flag):
+    argv = [a.format(coeffs=butter_file) for a in argv]
+    code, _, err = run(capsys, *argv, flag, FLAG_VALUES[flag].format(coeffs=butter_file))
+    assert code == 2
+    assert err == f"error[ARGS]: {variant} does not take {flag}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic-continuous", "--tf", "1/(s+1)", "--fmin-hz", "1", "--fmax-hz", "10",
+     "--points", "3"],
+    ["analytic-continuous", "--num", "1", "--den", "1,1", "--fmin-hz", "1", "--fmax-hz", "10",
+     "--points", "3"],
+    ["analytic-digital", "--coeffs", "{coeffs}", "--fmin-hz", "1", "--fmax-hz", "10",
+     "--points", "3"],
+    ["stepped", "--coeffs", "{coeffs}", "--fmin-hz", "1", "--fmax-hz", "10", "--points", "3",
+     "--settle-cycles", "20", "--measure-cycles", "3"],
+    ["chirp", "--coeffs", "{coeffs}", "--fmin-hz", "1", "--fmax-hz", "100", "--kind", "linear",
+     "--duration", "3", "--amplitude", "2", "--window-cycles", "3", "--hop-cycles", "2"],
+], ids=["continuous-tf", "continuous-num-den", "digital", "stepped", "chirp"])
+def test_bode_takes_every_flag_its_method_reads(capsys, tmp_path, butter_file, argv):
+    argv = [a.format(coeffs=butter_file) for a in argv]
+    code, _, err = run(capsys, "bode", "--method", *argv, "--out", str(tmp_path / "c.csv"))
+    assert (code, err) == (0, "")
+    assert len((tmp_path / "c.csv").read_text().splitlines()) > 3
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["design", "multiorder", "--tau", "4", "--kp", "5", "--rate", "1000"],
+     "family 'multiorder' does not take --tau"),
+    (["design", "multiorder", "--kp", "5", "--tau", "4", "--rate", "1000"],
+     "family 'multiorder' does not take --kp"),
+    (["bode", "--method", "analytic-digital", "--coeffs", "{coeffs}", "--window-cycles", "8",
+      "--settle-cycles", "40", "--duration", "3"],
+     "method 'analytic-digital' does not take --window-cycles"),
+    (["bode", "--method", "analytic-digital", "--duration", "3", "--coeffs", "{coeffs}",
+      "--window-cycles", "8"], "method 'analytic-digital' does not take --duration"),
+], ids=["design-tau-kp", "design-kp-tau", "bode-window-settle-duration", "bode-duration-window"])
+def test_the_first_unread_flag_on_the_command_line_is_named(capsys, butter_file, argv, first):
+    code, _, err = run(capsys, *[a.format(coeffs=butter_file) for a in argv])
+    assert code == 2
+    assert err == f"error[ARGS]: {first}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["design", "--rate", "1000"],
+    ["bode", "--method", "analytic-continuous"],
+], ids=["design", "bode"])
+def test_coefficient_lists_need_both_flags(capsys, command):
+    code, _, err = run(capsys, *command, "--num", "1")
+    assert code == 2
+    assert err == "error[ARGS]: source --num/--den requires --den\n"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("design", "--tf --num --den --cutoff-hz --notch-hz --q --kp --ki --kd --tau --gain "
+               "--zero-hz --pole-hz --rate --out"),
+    ("chirp", "--kind --fmin-hz --fmax-hz --duration --amplitude --rate --out"),
+    ("filter", "--coeffs --input --no-heuristic --out"),
+    ("bode", "--method --tf --num --den --coeffs --fmin-hz --fmax-hz --points "
+             "--settle-cycles --measure-cycles --kind --duration --amplitude "
+             "--window-cycles --hop-cycles --out"),
+    ("compare", "--max-db --max-deg"),
+], ids=["design", "chirp", "filter", "bode", "compare"])
+def test_help_returns_0_and_lists_the_subcommands_flags(capsys, monkeypatch, command, flags):
+    monkeypatch.setenv("COLUMNS", "200")  # no line wrap inside a flag
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", *flags.split()}
 
 
 # ----------------------------------------------------------- time column

@@ -251,6 +251,18 @@ def test_coeff_lists_reject_junk():
         parse_coeff_lists("1", "1,2,s")
 
 
+@pytest.mark.parametrize("space", ["\u00a0", "\u3000"], ids=["nbsp", "ideographic"])
+def test_whitespace_is_ascii_only(space):
+    with pytest.raises(TfSyntaxError) as exc_info:
+        parse_expression(f"1/(s{space}+ 1)")
+    assert exc_info.value.byte_offset == 4
+    assert exc_info.value.found == repr(space)
+    with pytest.raises(TfSyntaxError) as exc_info:
+        parse_coeff_lists("1", f"1,{space}1")
+    assert exc_info.value.byte_offset == 2
+    assert exc_info.value.found == repr(f"{space}1")
+
+
 def test_coeff_lists_take_only_ascii_digits():
     with pytest.raises(TfSyntaxError) as exc_info:
         parse_coeff_lists("\u0663", "1,\uff12")
