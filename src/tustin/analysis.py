@@ -32,9 +32,10 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .discretize import ContinuousTransferFunction, DigitalFilterCoefficients, pole_radii
+from .discretize import (UNIT_CIRCLE_MARGIN, ContinuousTransferFunction,
+                         DigitalFilterCoefficients, pole_radii)
 from .csvio import read_csv, write_csv
-from .runtime import UNIT_CIRCLE_MARGIN, filter_series
+from .runtime import filter_series
 # Not called here: perfbench's span tests expect the fold in this namespace.
 from .runtime import process  # noqa: F401
 from .signals import ChirpSpec, TimeSeries, chirp_phase, chirp_quadrature, generate_sine
@@ -102,6 +103,17 @@ def _checked_omegas(omega: Sequence[float]) -> np.ndarray:
     return w
 
 
+def _below_nyquist(omega: np.ndarray, rate_hz: float, what: str) -> None:
+    # Raises AboveNyquistError naming the first omega at or above pi * rate.
+    nyquist = math.pi * rate_hz
+    above = np.flatnonzero(omega >= nyquist)
+    if above.size:
+        raise AboveNyquistError(
+            f"{what} = {omega[above[0]].item()} rad/s is not below the Nyquist "
+            f"angular frequency {nyquist} rad/s"
+        )
+
+
 def _rational(
     num: Sequence[float], den: Sequence[float], x: np.ndarray, w: np.ndarray,
     what: str,
@@ -125,13 +137,7 @@ def _continuous(tf: ContinuousTransferFunction, omega: Sequence[float]) -> np.nd
 def _digital(coeffs: DigitalFilterCoefficients, omega: Sequence[float]) -> np.ndarray:
     # (sum a_hat[k] x^k) / (1 - sum b_hat[k] x^(k+1)) at x = z^-1.
     w = _checked_omegas(omega)
-    nyquist = math.pi * coeffs.loop_rate_hz
-    above = np.flatnonzero(w >= nyquist)
-    if above.size:
-        raise AboveNyquistError(
-            f"omega = {w[above[0]].item()} rad/s is not below the Nyquist "
-            f"angular frequency {nyquist} rad/s"
-        )
+    _below_nyquist(w, coeffs.loop_rate_hz, "omega")
     zinv = np.exp(-1j * w / coeffs.loop_rate_hz)
     den = [-b for b in reversed(coeffs.b_hat)] + [1.0]
     return _rational(coeffs.a_hat[::-1], den, zinv, w, "response denominator")
@@ -325,12 +331,7 @@ def chirp_bode(
         raise ValueError("sweep must cover at least two decades")
     # Above Nyquist the samples are those of an alias; its response would be
     # reported at the wrong frequency.
-    nyquist = math.pi * spec.sample_rate
-    if spec.omega_max >= nyquist:
-        raise AboveNyquistError(
-            f"sweep end omega = {spec.omega_max} rad/s is not below the Nyquist "
-            f"angular frequency {nyquist} rad/s"
-        )
+    _below_nyquist(np.array([spec.omega_max]), spec.sample_rate, "sweep end omega")
     if abs(spec.amplitude) < sys.float_info.min:
         raise ValueError(
             f"chirp amplitude must be at least {sys.float_info.min!r} in magnitude "

@@ -9,25 +9,18 @@ from __future__ import annotations
 
 import math
 
-from .discretize import ContinuousTransferFunction
-
-
-def _require_positive(name: str, value: float) -> float:
-    v = float(value)
-    if not (math.isfinite(v) and v > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return v
+from .discretize import ContinuousTransferFunction, _positive
 
 
 def lowpass1(omega0: float) -> ContinuousTransferFunction:
     """First-order low-pass 1 / (s/omega0 + 1)."""
-    w = _require_positive("omega0", omega0)
+    w = _positive("omega0", omega0)
     return ContinuousTransferFunction.from_descending([1.0], [1.0 / w, 1.0])
 
 
 def butterworth2(omega_c: float) -> ContinuousTransferFunction:
     """Second-order Butterworth low-pass, -3 dB at omega_c."""
-    w = _require_positive("omega_c", omega_c)
+    w = _positive("omega_c", omega_c)
     return ContinuousTransferFunction.from_descending(
         [w * w], [1.0, math.sqrt(2.0) * w, w * w]
     )
@@ -35,8 +28,8 @@ def butterworth2(omega_c: float) -> ContinuousTransferFunction:
 
 def notch(omega_n: float, q: float) -> ContinuousTransferFunction:
     """Unity-gain notch (s^2 + omega_n^2) / (s^2 + omega_n/q s + omega_n^2)."""
-    w = _require_positive("omega_n", omega_n)
-    qq = _require_positive("q", q)
+    w = _positive("omega_n", omega_n)
+    qq = _positive("q", q)
     return ContinuousTransferFunction.from_descending(
         [1.0, 0.0, w * w], [1.0, w / qq, w * w]
     )
@@ -48,7 +41,7 @@ def pid(kp: float, ki: float, kd: float, tau: float) -> ContinuousTransferFuncti
     Kp + Ki/s + Kd*tau*s/(s + tau), put over the common denominator
     s*(s + tau).  tau bounds the derivative gain at high frequency.
     """
-    t = _require_positive("tau", tau)
+    t = _positive("tau", tau)
     for name, v in (("kp", kp), ("ki", ki), ("kd", kd)):
         if not math.isfinite(float(v)):
             raise ValueError(f"{name} must be finite, got {v!r}")
@@ -62,7 +55,7 @@ def leadlag(gain: float, zero: float, pole: float) -> ContinuousTransferFunction
 
     High-frequency magnitude tends to |gain|, DC gain is gain*zero/pole.
     """
-    p = _require_positive("pole", pole)
+    p = _positive("pole", pole)
     g = float(gain)
     z = float(zero)
     if not math.isfinite(g) or g == 0.0:

@@ -34,6 +34,7 @@ from .analysis import (
 )
 from .csvio import read_csv, write_csv
 from .discretize import (
+    UNIT_CIRCLE_MARGIN,
     ContinuousTransferFunction,
     DegenerateLeadingCoefficientError,
     DigitalFilterCoefficients,
@@ -41,7 +42,7 @@ from .discretize import (
     pole_radii,
     tustin_horner,
 )
-from .runtime import UNIT_CIRCLE_MARGIN, RateMismatchError, filter_series
+from .runtime import RateMismatchError, filter_series
 # Not called here: perfbench's span tests expect the fold in this namespace.
 from .runtime import process  # noqa: F401
 from .signals import CHIRP_KINDS, ChirpSpec, TimeSeries, generate_chirp
@@ -189,11 +190,14 @@ def _refuse_unread(args: argparse.Namespace, variant: str, reads: Sequence[str])
             raise _UsageError(f"{variant} does not take --{name.replace('_', '-')}")
 
 
-def _tf_from_args(args: argparse.Namespace,
-                  reads: Sequence[str] = ()) -> tuple[ContinuousTransferFunction, str]:
+def _tf_from_args(
+    args: argparse.Namespace, reads: Sequence[str] = (),
+    sources: str = "a catalog family, --tf, or --num with --den",
+) -> tuple[ContinuousTransferFunction, str]:
     """H(s) from its source: the family, else the first of --tf and --num/--den.
 
-    Any flag given that neither the source nor ``reads`` names is refused.
+    Any flag given that neither the source nor ``reads`` names is refused;
+    ``sources`` lists the sources the command takes, for when none is given.
     """
     given = vars(args)
     family = given.get("family")
@@ -205,10 +209,7 @@ def _tf_from_args(args: argparse.Namespace,
     elif first is not None:
         variant, names = "source --num/--den", ("num", "den")
     else:
-        raise _UsageError(
-            "give exactly one transfer function source: a catalog family, "
-            "--tf, or --num with --den"
-        )
+        raise _UsageError(f"give exactly one transfer function source: {sources}")
     _refuse_unread(args, variant, (*names, *reads))
     for name in names:
         if name not in given:
@@ -245,13 +246,24 @@ def cmd_design(args: argparse.Namespace) -> int:
     return 0
 
 
+def _band(args: argparse.Namespace, rate: float | None) -> tuple[float, float]:
+    # bode's default band is 0.1-100 Hz, or, below a design rate of 250 Hz,
+    # the three decades up to 0.4 * rate: under the stepped limit,
+    # analysis.STEPPED_SINE_MAX_FREQ_FRACTION.  analytic-continuous has no rate.
+    top = 100.0 if rate is None else min(100.0, 0.4 * rate)
+    return getattr(args, "fmin_hz", min(0.1, top / 1000.0)), getattr(args, "fmax_hz", top)
+
+
 def _chirp_spec(args: argparse.Namespace, rate: float) -> ChirpSpec:
-    # The defaults for chirp and bode alike; chirp requires --duration.
+    # The defaults for chirp and bode alike; chirp requires the band and
+    # --duration.  Below 250 Hz the default sweep lasts 120 s * 250 Hz / rate,
+    # so that on the default band it is the 30,000 samples of a 250 Hz design.
+    fmin, fmax = _band(args, rate)
     return ChirpSpec(
         kind=getattr(args, "kind", "exponential"),
-        omega_min=2.0 * math.pi * args.fmin_hz,
-        omega_max=2.0 * math.pi * args.fmax_hz,
-        duration_s=getattr(args, "duration", 120.0),
+        omega_min=2.0 * math.pi * fmin,
+        omega_max=2.0 * math.pi * fmax,
+        duration_s=args.duration if "duration" in args else 120.0 * max(1.0, 250.0 / rate),
         amplitude=getattr(args, "amplitude", 1.0),
         sample_rate=rate,
     )
@@ -290,13 +302,14 @@ def cmd_filter(args: argparse.Namespace) -> int:
     return 0
 
 
-def _frequency_grid(args: argparse.Namespace) -> np.ndarray:
-    if not (0.0 < args.fmin_hz < args.fmax_hz):
+def _frequency_grid(args: argparse.Namespace, rate: float | None) -> np.ndarray:
+    fmin, fmax = _band(args, rate)
+    if not (0.0 < fmin < fmax):
         raise _UsageError("need 0 < --fmin-hz < --fmax-hz")
     points = getattr(args, "points", 200)
     if points < 2:
         raise _UsageError("--points must be at least 2")
-    return np.logspace(math.log10(args.fmin_hz), math.log10(args.fmax_hz), points)
+    return np.logspace(math.log10(fmin), math.log10(fmax), points)
 
 
 def cmd_bode(args: argparse.Namespace) -> int:
@@ -306,18 +319,19 @@ def cmd_bode(args: argparse.Namespace) -> int:
     # only when given, so its defaults hold.
     tuning = {name: v for name, v in vars(args).items() if name.endswith("_cycles")}
     if method == "analytic-continuous":
-        tf, _ = _tf_from_args(args, _GRID)
-        points = bode_continuous(tf, _frequency_grid(args))
+        tf, _ = _tf_from_args(args, _GRID, "--tf or --num with --den")
+        points = bode_continuous(tf, _frequency_grid(args, None))
     elif not hasattr(args, "coeffs"):
         raise _UsageError(f"method {method!r} requires --coeffs")
     else:
         coeffs, _ = read_coeff_file(args.coeffs)
+        rate = coeffs.loop_rate_hz
         if method == "analytic-digital":
-            points = bode_digital(coeffs, _frequency_grid(args))
+            points = bode_digital(coeffs, _frequency_grid(args, rate))
         elif method == "stepped":
-            points = stepped_sine_bode(coeffs, _frequency_grid(args), **tuning)
+            points = stepped_sine_bode(coeffs, _frequency_grid(args, rate), **tuning)
         else:
-            points = chirp_bode(coeffs, _chirp_spec(args, coeffs.loop_rate_hz), **tuning)
+            points = chirp_bode(coeffs, _chirp_spec(args, rate), **tuning)
     with _out_stream(args.out) as fh:
         write_bode_csv(points, fh)
     return 0
@@ -414,9 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=list(BODE_METHODS))
     _add_tf_source_arguments(p, with_family=False)
     p.add_argument("--coeffs", help="JSON coefficient file (digital methods)")
-    # Every method reads the band, so its defaults can be argparse's.
-    p.add_argument("--fmin-hz", type=float, default=0.1)
-    p.add_argument("--fmax-hz", type=float, default=100.0)
+    p.add_argument("--fmin-hz", type=float)
+    p.add_argument("--fmax-hz", type=float)
     p.add_argument("--points", type=int,
                    help="log-spaced grid size (analytic/stepped methods)")
     p.add_argument("--settle-cycles", type=int,

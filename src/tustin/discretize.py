@@ -128,18 +128,19 @@ class DigitalFilterCoefficients:
         for v in self.a_hat + self.b_hat:
             if not math.isfinite(v):
                 raise FilterDesignError(f"non-finite coefficient: {v!r}")
-        _check_rate(self.loop_rate_hz)
+        _positive("loop rate", self.loop_rate_hz, NonPositiveRateError)
 
     @property
     def order(self) -> int:
         return len(self.b_hat)
 
 
-def _check_rate(loop_rate_hz: float) -> None:
-    if not (math.isfinite(loop_rate_hz) and loop_rate_hz > 0.0):
-        raise NonPositiveRateError(
-            f"loop rate must be positive and finite, got {loop_rate_hz!r}"
-        )
+def _positive(name: str, value: float, error: type[ValueError] = ValueError) -> float:
+    """value as a float; raises error naming it unless positive and finite."""
+    v = float(value)
+    if not (math.isfinite(v) and v > 0.0):
+        raise error(f"{name} must be positive and finite, got {value!r}")
+    return v
 
 
 def normalize(
@@ -210,9 +211,8 @@ def _design(
     loop_rate_hz: float,
     substitute: Callable[[Sequence[float], float], Polynomial],
 ) -> DigitalFilterCoefficients:
-    _check_rate(loop_rate_hz)
     n = tf.order
-    two_fl = 2.0 * loop_rate_hz
+    two_fl = 2.0 * _positive("loop rate", loop_rate_hz, NonPositiveRateError)
     num_z = substitute(tf.numerator.padded(n).descending(), two_fl)
     den_z = substitute(tf.denominator.descending(), two_fl)
     return normalize(num_z, den_z, loop_rate_hz)
@@ -241,6 +241,12 @@ def tustin_direct(
     and for spot verification.
     """
     return _design(tf, loop_rate_hz, _direct_substitution)
+
+
+# A pole that the design maps exactly onto z = 1 (pid's integrator) comes
+# back from np.roots a rounding error to either side of it: every pole this
+# close to the unit circle counts as on it.
+UNIT_CIRCLE_MARGIN = 1e-9
 
 
 def pole_radii(coeffs: DigitalFilterCoefficients) -> tuple[float, ...]:

@@ -30,7 +30,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import repeat, takewhile
 
-from .discretize import DigitalFilterCoefficients, pole_radii
+from .discretize import UNIT_CIRCLE_MARGIN, DigitalFilterCoefficients, pole_radii
 from .signals import TimeSeries
 
 import numpy as np
@@ -63,11 +63,6 @@ SLICE_BLOCKS = 64
 # output, stayed within 0.4-34 times that estimate.  The direct form of a
 # high-order or low-corner design exceeds the limit, and the fold runs.
 BLOCK_ROUNDING_LIMIT = 1e-11
-
-# A pole that the design maps exactly onto z = 1 (pid's integrator) comes
-# back from np.roots a rounding error to either side of it: filter_series
-# treats every pole this close to the unit circle as on it.
-UNIT_CIRCLE_MARGIN = 1e-9
 
 
 class RateMismatchError(ValueError):
@@ -188,18 +183,18 @@ def filter_series(
     BLOCK_ROUNDING_LIMIT, or an input or output that is not finite.  Every
     error is therefore the one :func:`process` raises.
     """
-    _check_rate(coeffs, series)
     realization = _block_realization(coeffs)
     # A non-finite input would also spoil the output; checking it here keeps
     # that independent of how the BLAS multiplies nan by zero.
-    if realization is None or not np.all(np.isfinite(series.samples)):
-        return process(coeffs, series, use_startup_heuristic)
-    # An overflow is not an error here: the fold reruns and names its sample.
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _run_blocks(*realization, series.samples, use_startup_heuristic)
-    if not np.all(np.isfinite(out)):
-        return process(coeffs, series, use_startup_heuristic)
-    return TimeSeries(series.sample_rate, out, series.t0)
+    if realization is not None and np.all(np.isfinite(series.samples)):
+        _check_rate(coeffs, series)
+        # An overflow is not an error here: the fold reruns and names its sample.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _run_blocks(*realization, series.samples, use_startup_heuristic)
+        if np.all(np.isfinite(out)):
+            return TimeSeries(series.sample_rate, out, series.t0)
+    # The fold checks the rate itself.
+    return process(coeffs, series, use_startup_heuristic)
 
 
 @lru_cache(maxsize=16)

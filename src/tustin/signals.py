@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discretize import _positive
+
 # Hard cap on duration * sample_rate; beyond this the sample count no
 # longer fits comfortably in memory and is certainly a typo.
 MAX_SAMPLES = 1_000_000_000
@@ -44,9 +46,7 @@ class TimeSeries:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        rate = float(self.sample_rate)
-        if not (math.isfinite(rate) and rate > 0.0):
-            raise ValueError(f"sample rate must be positive, got {self.sample_rate!r}")
+        rate = _positive("sample rate", self.sample_rate)
         data = np.asarray(self.samples, dtype=np.float64)
         if data.ndim != 1 or data.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
@@ -85,30 +85,29 @@ class ChirpSpec:
     def __post_init__(self) -> None:
         if self.kind not in CHIRP_KINDS:
             raise ValueError(f"kind must be one of {CHIRP_KINDS}, got {self.kind!r}")
-        for name in ("omega_min", "omega_max", "duration_s", "amplitude", "sample_rate"):
+        for name in ("omega_max", "amplitude"):
             v = float(getattr(self, name))
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
             object.__setattr__(self, name, v)
-        if self.omega_min <= 0.0:
-            raise ValueError("omega_min must be positive")
+        for name in ("omega_min", "duration_s", "sample_rate"):
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
         if self.omega_max <= self.omega_min:
             raise ValueError("omega_max must exceed omega_min")
-        if self.duration_s <= 0.0:
-            raise ValueError("duration_s must be positive")
-        if self.sample_rate <= 0.0:
-            raise ValueError("sample_rate must be positive")
-        if self.duration_s * self.sample_rate > MAX_SAMPLES:
-            raise ValueError(
-                f"duration * rate exceeds {MAX_SAMPLES} samples; refusing"
-            )
         if sample_count(self) < 2:
             raise ValueError("sweep is shorter than two samples")
 
 
+def _sample_count(duration_s: float, sample_rate: float) -> int:
+    # Samples at times i/rate inside [0, duration), at most MAX_SAMPLES.
+    if duration_s * sample_rate > MAX_SAMPLES:
+        raise ValueError(f"duration * rate exceeds {MAX_SAMPLES} samples; refusing")
+    return int(round(duration_s * sample_rate))
+
+
 def sample_count(spec: ChirpSpec) -> int:
     """Number of samples in the sweep; times i/rate stay inside [0, T)."""
-    return int(round(spec.duration_s * spec.sample_rate))
+    return _sample_count(spec.duration_s, spec.sample_rate)
 
 
 def instantaneous_frequency(spec: ChirpSpec, t: float) -> float:
@@ -183,13 +182,9 @@ def generate_sine(
             raise ValueError(f"{name} must be finite, got {v!r}")
     if freq_hz < 0.0:
         raise ValueError("freq_hz must be nonnegative")
-    if not (math.isfinite(duration_s) and duration_s > 0.0):
-        raise ValueError("duration_s must be positive")
-    if not (math.isfinite(sample_rate) and sample_rate > 0.0):
-        raise ValueError("sample_rate must be positive")
-    if duration_s * sample_rate > MAX_SAMPLES:
-        raise ValueError(f"duration * rate exceeds {MAX_SAMPLES} samples; refusing")
-    n = int(round(duration_s * sample_rate))
+    duration_s = _positive("duration_s", duration_s)
+    sample_rate = _positive("sample_rate", sample_rate)
+    n = _sample_count(duration_s, sample_rate)
     if n < 1:
         raise ValueError("duration is shorter than one sample")
     t = np.arange(n) / sample_rate

@@ -64,6 +64,13 @@ def test_continuous_denominator_zero():
         analytic_response_continuous(t, 2.0)  # pole exactly at j*2
 
 
+@pytest.mark.parametrize("omega", [0.0, -1.0, float("nan")])
+def test_continuous_refuses_an_omega_that_is_not_positive_and_finite(omega):
+    message = f"^omega must be positive and finite, got {omega!r}$"
+    with pytest.raises(ValueError, match=message):
+        analytic_response_continuous(catalog.lowpass1(2.0), omega)
+
+
 def test_digital_identity_is_flat():
     for w in (0.01, 1.0, 100.0, 3000.0):
         assert analytic_response_digital(IDENTITY, w) == 1.0 + 0j
@@ -88,6 +95,22 @@ def test_digital_rejects_at_and_above_nyquist():
         analytic_response_digital(BUTTER, math.pi * RATE * 1.5)
     # just below is fine
     analytic_response_digital(BUTTER, math.pi * RATE * 0.999)
+
+
+def test_nyquist_refusals_name_the_first_omega_at_or_above_the_limit():
+    nyquist = math.pi * RATE
+    with pytest.raises(AboveNyquistError) as info:
+        bode_digital(BUTTER, [100.0, 500.0, 600.0])
+    assert str(info.value) == (
+        f"omega = {TWO_PI * 500.0} rad/s is not below the Nyquist angular "
+        f"frequency {nyquist} rad/s"
+    )
+    with pytest.raises(AboveNyquistError) as info:
+        chirp_bode(LOWPASS, chirp(fmin=1.0, fmax=600.0, duration=20.0))
+    assert str(info.value) == (
+        f"sweep end omega = {TWO_PI * 600.0} rad/s is not below the Nyquist "
+        f"angular frequency {nyquist} rad/s"
+    )
 
 
 def random_stable_design(seed):

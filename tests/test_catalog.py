@@ -138,6 +138,20 @@ def test_parameter_validation():
         catalog.pid(1.0, 1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: catalog.pid(float("inf"), 1.0, 1.0, 1.0), "kp must be finite, got inf"),
+    (lambda: catalog.pid(1.0, 1.0, float("nan"), 1.0), "kd must be finite, got nan"),
+    (lambda: catalog.leadlag(1.0, float("nan"), 3.0), "zero must be finite, got nan"),
+    (lambda: catalog.lowpass1(float("inf")), "omega0 must be positive and finite, got inf"),
+    (lambda: catalog.notch(10.0, -1.0), "q must be positive and finite, got -1.0"),
+    (lambda: catalog.pid(1.0, 1.0, 1.0, 0), "tau must be positive and finite, got 0"),
+], ids=["pid-kp", "pid-kd", "leadlag-zero", "lowpass1-omega0", "notch-q", "pid-tau"])
+def test_parameter_errors_name_the_bad_value(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_phase_lead_between_corners():
     # a lead network's phase peaks between zero and pole
     t = catalog.leadlag(1.0, 1.0, 100.0)

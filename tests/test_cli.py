@@ -101,6 +101,17 @@ def test_design_requires_exactly_one_source(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, sources", [
+    (["design", "--rate", "100"], "a catalog family, --tf, or --num with --den"),
+    # bode takes no catalog family
+    (["bode", "--method", "analytic-continuous"], "--tf or --num with --den"),
+], ids=["design", "bode"])
+def test_no_source_names_the_sources_the_command_takes(capsys, argv, sources):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error[ARGS]: give exactly one transfer function source: {sources}\n"
+
+
 def test_design_family_missing_parameter(capsys):
     code, _, err = run(capsys, "design", "notch", "--notch-hz", "60", "--rate", "1000")
     assert code == 2
@@ -280,6 +291,20 @@ def test_filter_rejects_malformed_inputs(capsys, tmp_path):
     )
     assert code == 1
     assert err.startswith("error[IO]: ")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,1\n", "need at least two samples"),
+    ("0,1\n0,2\n", "time column must increase"),
+    ("0.002,1\n0.001,2\n0,3\n", "time column must increase"),
+], ids=["one-row", "constant-time", "decreasing-time"])
+def test_filter_needs_two_samples_and_increasing_time(capsys, tmp_path, body, message):
+    coeffs = tmp_path / "id.json"
+    write_identity(coeffs)
+    signal = tmp_path / "sig.csv"
+    signal.write_text("time_s,value\n" + body)
+    code, _, err = run(capsys, "filter", "--coeffs", str(coeffs), "--input", str(signal))
+    assert (code, err) == (1, f"error[INVALID]: {signal}: {message}\n")
 
 
 def test_broken_coeff_files_rejected(capsys, tmp_path):
@@ -528,6 +553,57 @@ def test_bode_bad_grid(capsys, butter_file):
         str(butter_file), "--fmin-hz", "10", "--fmax-hz", "1",
     )
     assert code == 2
+    code, _, err = run(
+        capsys, "bode", "--method", "analytic-digital", "--coeffs",
+        str(butter_file), "--points", "1",
+    )
+    assert (code, err) == (2, "error[ARGS]: --points must be at least 2\n")
+
+
+@pytest.mark.parametrize("rate, band", [
+    (1000.0, (0.1, 100.0)), (250.0, (0.1, 100.0)), (100.0, (0.04, 40.0)),
+    (0.1, (4e-5, 0.04)),
+])
+def test_bode_default_band_follows_the_design_rate(capsys, tmp_path, rate, band):
+    # 0.1-100 Hz where it fits; below 250 Hz it ends at 0.4 * rate and
+    # starts three decades lower, and every digital method runs on it
+    coeffs = tmp_path / "lp.json"
+    assert main(["design", "lowpass1", "--cutoff-hz", str(rate / 100.0),
+                 "--rate", str(rate), "--out", str(coeffs)]) == 0
+    curves = {}
+    for method in ("analytic-digital", "stepped", "chirp"):
+        curves[method] = tmp_path / f"{method}.csv"
+        code, _, err = run(capsys, "bode", "--method", method, "--coeffs", str(coeffs),
+                           "--out", str(curves[method]))
+        assert (code, err) == (0, "")
+    for method in ("analytic-digital", "stepped"):
+        freqs = [row[0] for row in read_curve(curves[method])]
+        assert len(freqs) == 200
+        assert (freqs[0], freqs[-1]) == pytest.approx(band, rel=1e-8)
+    code, _, _ = run(capsys, "compare", str(curves["chirp"]), str(curves["analytic-digital"]),
+                     "--max-db", "0.05", "--max-deg", "0.6")
+    assert code == 0
+
+
+def test_bode_band_flags_override_the_derived_default(capsys, tmp_path):
+    coeffs = tmp_path / "lp.json"
+    assert main(["design", "lowpass1", "--cutoff-hz", "1", "--rate", "100",
+                 "--out", str(coeffs)]) == 0
+    curve = tmp_path / "d.csv"
+    code, _, _ = run(capsys, "bode", "--method", "analytic-digital", "--coeffs", str(coeffs),
+                     "--fmax-hz", "10", "--out", str(curve))
+    assert code == 0
+    freqs = [row[0] for row in read_curve(curve)]
+    assert (freqs[0], freqs[-1]) == pytest.approx((0.04, 10.0), rel=1e-8)
+
+
+def test_bode_analytic_continuous_keeps_the_fixed_default_band(capsys, tmp_path):
+    curve = tmp_path / "c.csv"
+    code, _, _ = run(capsys, "bode", "--method", "analytic-continuous",
+                     "--tf", "1/(s+1)", "--out", str(curve))
+    assert code == 0
+    freqs = [row[0] for row in read_curve(curve)]
+    assert (freqs[0], freqs[-1]) == pytest.approx((0.1, 100.0), rel=1e-8)
 
 
 # ---------------------------------------------------------------- compare
@@ -556,6 +632,18 @@ def test_compare_threshold_failure(capsys, tmp_path):
     assert "exceeds" in out
     code, _, _ = run(capsys, "compare", str(a), str(b), "--max-db", "5")
     assert code == 0
+
+
+def test_compare_fails_on_the_phase_gate_alone(capsys, tmp_path):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("freq_hz,magnitude_db,phase_deg\n1,0,0\n10,0,0\n")
+    b.write_text("freq_hz,magnitude_db,phase_deg\n1,0.5,-10\n10,0.5,-10\n")
+    code, out, err = run(capsys, "compare", str(a), str(b), "--max-db", "1",
+                         "--max-deg", "5")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == "phase deviation exceeds 5 deg"
+    assert "magnitude deviation" not in out
 
 
 def test_compare_disjoint_curves(capsys, tmp_path):

@@ -106,6 +106,11 @@ def test_scale_argument_rejects_zero():
         taylor_shift(Polynomial((1.0, 2.0)), float("nan"))
 
 
+def test_scale_argument_rejects_nan():
+    with pytest.raises(ValueError, match="^argument scale must be finite$"):
+        scale_argument(Polynomial((1.0, 2.0)), float("nan"))
+
+
 # ------------------------------------------------------ property checks
 
 

@@ -298,6 +298,18 @@ def test_filter_series_raises_what_process_raises(coeffs, series, error, message
     assert raised[0] is error and message in raised[1]
 
 
+@pytest.mark.parametrize("coeffs", [
+    BUTTER, tustin_horner(catalog.pid(2.0, 5.0, 0.1, 100.0), 1000.0),
+], ids=["blocks", "fold"])
+def test_filter_series_checks_the_rate_once(monkeypatch, coeffs):
+    series = TimeSeries(1000.0, np.ones(300))
+    calls = []
+    check = runtime._check_rate
+    monkeypatch.setattr(runtime, "_check_rate", lambda *a: calls.append(a) or check(*a))
+    filter_series(coeffs, series)
+    assert calls == [(coeffs, series)]
+
+
 @pytest.mark.parametrize("coeffs, rtol", [
     (BUTTER, 1e-12),
     # n = 6: each block's window reaches six inputs back, over slice edges

@@ -49,6 +49,19 @@ def test_time_series_samples_are_read_only():
         ts.samples[0] = 99.0
 
 
+@pytest.mark.parametrize("samples", [[[1.0, 2.0], [3.0, 4.0]], []], ids=["2-D", "empty"])
+def test_time_series_needs_a_non_empty_1d_array(samples):
+    with pytest.raises(ValueError, match="^samples must be a non-empty 1-D array$"):
+        TimeSeries(10.0, samples)
+
+
+@pytest.mark.parametrize("rate", [0.0, -10.0, float("nan"), float("inf")])
+def test_time_series_names_a_rate_that_is_not_positive_and_finite(rate):
+    message = f"^sample rate must be positive and finite, got {rate!r}$"
+    with pytest.raises(ValueError, match=message):
+        TimeSeries(rate, [1.0, 2.0])
+
+
 # -------------------------------------------------------------- sweep law
 
 
@@ -107,6 +120,26 @@ def test_spec_validation():
 def test_sample_count_rounds():
     assert sample_count(spec(duration=1.0, rate=1000.0)) == 1000
     assert sample_count(spec(duration=0.9996, rate=1000.0)) == 1000
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("omega_max", float("nan"), "omega_max must be finite, got nan"),
+    ("amplitude", float("inf"), "amplitude must be finite, got inf"),
+    ("omega_min", float("nan"), "omega_min must be positive and finite, got nan"),
+    ("omega_min", 0.0, "omega_min must be positive and finite, got 0.0"),
+    ("duration_s", float("nan"), "duration_s must be positive and finite, got nan"),
+    ("duration_s", -1.0, "duration_s must be positive and finite, got -1.0"),
+    ("sample_rate", -100.0, "sample_rate must be positive and finite, got -100.0"),
+    ("sample_rate", float("inf"), "sample_rate must be positive and finite, got inf"),
+], ids=["nan-omega-max", "inf-amplitude", "nan-omega-min", "zero-omega-min", "nan-duration",
+        "negative-duration", "negative-rate", "inf-rate"])
+def test_spec_names_the_bad_field_and_value(field, value, message):
+    fields = dict(kind="linear", omega_min=1.0, omega_max=10.0, duration_s=1.0,
+                  amplitude=1.0, sample_rate=100.0)
+    fields[field] = value
+    with pytest.raises(ValueError) as info:
+        ChirpSpec(**fields)
+    assert str(info.value) == message
 
 
 # ------------------------------------------------------ rotation recursion
@@ -193,6 +226,21 @@ def test_sine_validation():
         generate_sine(1.0, float("inf"), 0.0, 1.0, 100.0)
     with pytest.raises(ValueError):
         generate_sine(1.0, 1.0, 0.0, float(MAX_SAMPLES), 10.0)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.0, 1.0, 0.0, 0.004, 100.0), "duration is shorter than one sample"),
+    ((1.0, 1.0, 0.0, 0.0, 100.0), "duration_s must be positive and finite, got 0.0"),
+    ((1.0, 1.0, 0.0, float("inf"), 100.0), "duration_s must be positive and finite, got inf"),
+    ((1.0, 1.0, 0.0, 1.0, -100.0), "sample_rate must be positive and finite, got -100.0"),
+    ((1.0, 1.0, 0.0, 1.0, float("nan")), "sample_rate must be positive and finite, got nan"),
+    ((1.0, 1.0, 0.0, float(MAX_SAMPLES), 10.0),
+     f"duration * rate exceeds {MAX_SAMPLES} samples; refusing"),
+], ids=["under-one-sample", "zero-duration", "inf-duration", "negative-rate", "nan-rate", "cap"])
+def test_sine_names_the_bad_argument(args, message):
+    with pytest.raises(ValueError) as info:
+        generate_sine(*args)
+    assert str(info.value) == message
 
 
 def test_sine_times_start_at_zero_and_stay_inside_duration():
