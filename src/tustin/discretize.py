@@ -8,12 +8,16 @@ difference equation
 
 Two independent routes are provided.  :func:`tustin_horner` is the
 production path: a stepwise polynomial pipeline (divide out s**n,
-substitute, shift, reverse, scale, shift back) that only ever touches one
-polynomial at a time.  :func:`tustin_direct` expands the substitution by
-brute force: numpy expands each product (z - 1)**(n-k) * (z + 1)**k from
-its roots +1 and -1.  Only the substitution differs; the rate check, the
-padding and the normalization are shared.  The routes agree to rounding
-error and cross-check each other in the test suite.
+substitute, shift, reverse, scale, shift back).  ``_horner_substitution``
+runs every step on one list of coefficients: the shift and the scaling
+are :func:`tustin.polynomial.taylor_shift` and
+:func:`tustin.polynomial.scale_argument`, the reversal is a slice, and one
+Polynomial per side is built at the end.  :func:`tustin_direct` expands
+the substitution by brute force: numpy expands each product
+(z - 1)**(n-k) * (z + 1)**k from its roots +1 and -1.  Only the
+substitution differs; the rate checks, the padding and the normalization
+are shared.  The routes agree to rounding error and cross-check each
+other in the test suite.
 
 No frequency prewarping is applied: the digital response at angular
 frequency w equals the continuous response at the warped frequency
@@ -31,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .polynomial import Polynomial, reverse_coefficients, scale_argument, taylor_shift
+from .polynomial import Polynomial, scale_argument, taylor_shift
 
 # A leading z-domain denominator coefficient not above this fraction of
 # the largest denominator coefficient means the map collapsed the filter
@@ -178,19 +182,18 @@ def _horner_substitution(d: Sequence[float], two_fl: float) -> Polynomial:
     With d[k] the coefficient of s**(n-k), dividing by s**n and
     substituting s = 2*f_l/x turns p into sum(d[k] / (2*f_l)**k * x**k);
     the remaining steps move x through +1 shift, reversal, halving of the
-    argument and -1 shift, landing on the polynomial in z.
+    argument and -1 shift, landing on the polynomial in z.  Every step
+    acts on one coefficient list w: the x coefficients come out ascending,
+    the slice before the first shift makes them descending, and the slice
+    after it is the reversal.
     """
-    coeffs = []
+    w = []
     scale = 1.0
     for c in d:
-        coeffs.append(c / scale)
+        w.append(c / scale)
         scale *= two_fl
-    q = Polynomial(tuple(coeffs))
-    q = taylor_shift(q, 1.0)
-    q = reverse_coefficients(q)
-    q = scale_argument(q, 0.5)
-    q = taylor_shift(q, -1.0)
-    return q
+    w = taylor_shift(w[::-1], 1.0)[::-1]
+    return Polynomial.from_descending(taylor_shift(scale_argument(w, 0.5), -1.0))
 
 
 def _direct_substitution(c: Sequence[float], two_fl: float) -> Polynomial:
@@ -213,6 +216,17 @@ def _design(
 ) -> DigitalFilterCoefficients:
     n = tf.order
     two_fl = 2.0 * _positive("loop rate", loop_rate_hz, NonPositiveRateError)
+    # Both routes scale by (2*f_l)**k, k <= n: the stepwise one by products
+    # of k factors, the direct one by **.  Either is monotone in k, and the
+    # two can round to opposite sides of a range edge, so both are checked.
+    try:
+        powers = (math.prod([two_fl] * n), two_fl ** n)
+    except OverflowError:
+        powers = (math.inf,)
+    if not all(np.finfo(float).tiny <= p < math.inf for p in powers):
+        raise FilterDesignError(
+            f"loop rate {loop_rate_hz!r} Hz is out of float64 range for order {n}"
+        )
     num_z = substitute(tf.numerator.padded(n).descending(), two_fl)
     den_z = substitute(tf.denominator.descending(), two_fl)
     return normalize(num_z, den_z, loop_rate_hz)
@@ -252,12 +266,17 @@ UNIT_CIRCLE_MARGIN = 1e-9
 def pole_radii(coeffs: DigitalFilterCoefficients) -> tuple[float, ...]:
     """Magnitudes of the z-domain poles, largest first.
 
-    Roots of z**n - b_hat[0] z**(n-1) - ... - b_hat[n-1], found as
-    companion-matrix eigenvalues.  Purely advisory: a radius above 1 means
-    the difference equation is unstable at this rate.
+    Roots of z**n - b_hat[0] z**(n-1) - ... - b_hat[n-1], found as the
+    eigenvalues of the companion matrix that np.roots builds: trailing zero
+    b_hat entries are poles at z = 0, and the rest fill the first row.  A
+    radius above 1 means the difference equation is unstable at this rate.
+    Not only advisory: ``runtime.filter_series`` refuses the block
+    realization, and ``analysis.stepped_sine_bode`` settles for a fixed
+    number of cycles, when the largest radius reaches the unit circle.
     """
-    if not coeffs.b_hat:
-        return ()
-    monic = np.concatenate(([1.0], -np.asarray(coeffs.b_hat)))
-    radii = np.abs(np.roots(monic))
-    return tuple(sorted((float(r) for r in radii), reverse=True))
+    b = coeffs.b_hat
+    m = max((i + 1 for i, v in enumerate(b) if v), default=0)
+    companion = np.eye(m, k=-1)
+    companion[:1] = b[:m]
+    radii = np.abs(np.linalg.eigvals(companion)) if m else np.zeros(0)
+    return tuple(np.sort(radii)[::-1].tolist() + [0.0] * (len(b) - m))

@@ -1,8 +1,11 @@
 """Dense univariate real polynomials and the stepwise Tustin route's steps.
 
-This module holds the :class:`Polynomial` container and the three
-operations of the paper's Horner pipeline: :func:`taylor_shift`,
-:func:`reverse_coefficients` and :func:`scale_argument`.  The direct route
+This module holds the :class:`Polynomial` container and two steps of the
+paper's Horner pipeline, :func:`taylor_shift` and :func:`scale_argument`.
+The steps work in place on one plain list of descending coefficients, not
+on Polynomial objects: ``discretize._horner_substitution`` runs the whole
+pipeline on that list, reverses it with a slice, and builds a Polynomial
+once at the end, where the coefficients are checked.  The direct route
 expands its products with numpy instead.
 
 Coefficients are stored in ascending power order: ``coeffs[k]`` multiplies
@@ -67,41 +70,33 @@ class Polynomial:
         return Polynomial(self.coeffs + (0.0,) * (order - self.declared_order))
 
 
-def taylor_shift(p: Polynomial, c: float) -> Polynomial:
-    """Return q with q(x) = p(x + c).
+def taylor_shift(w: list[float], c: float) -> list[float]:
+    """Shift w, descending coefficients of p, in place to those of p(x + c).
 
-    Computed by ``declared_order`` passes of synthetic division, each pass
-    peeling off one Taylor coefficient of p about c.  O(n^2) and exact for
-    the integer shifts the design pipeline uses.
+    ``len(w) - 1`` passes of synthetic division, each pass peeling off one
+    Taylor coefficient of p about c.  O(n^2) and exact for the integer
+    shifts the design route uses.  Returns w.
     """
     if not math.isfinite(c):
         raise ValueError("shift amount must be finite")
-    n = p.declared_order
-    w = list(p.descending())
-    for k in range(n):
-        for j in range(1, n + 1 - k):
+    for k in range(len(w) - 1, 0, -1):
+        for j in range(1, k + 1):
             w[j] += c * w[j - 1]
-    return Polynomial(tuple(reversed(w)))
+    return w
 
 
-def reverse_coefficients(p: Polynomial) -> Polynomial:
-    """Return q with q(x) = x**n * p(1/x), n the declared order.
+def scale_argument(w: list[float], c: float) -> list[float]:
+    """Scale w, descending coefficients of p, in place to those of p(c * x).
 
-    The reversal runs over the full padded coefficient tuple; zero leading
-    coefficients shift the result exactly as the substitution demands.
+    The coefficient of x**k is multiplied by c**k, the power built up one
+    factor at a time from the constant term.  Returns w.
     """
-    return Polynomial(tuple(reversed(p.coeffs)))
-
-
-def scale_argument(p: Polynomial, c: float) -> Polynomial:
-    """Return q with q(x) = p(c * x), i.e. coeffs[k] scaled by c**k."""
     if not math.isfinite(c):
         raise ValueError("argument scale must be finite")
     if c == 0.0:
         raise ValueError("argument scale must be nonzero")
-    out = []
     factor = 1.0
-    for v in p.coeffs:
-        out.append(v * factor)
+    for i in range(len(w) - 1, -1, -1):
+        w[i] *= factor
         factor *= c
-    return Polynomial(tuple(out))
+    return w

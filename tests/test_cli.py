@@ -152,6 +152,16 @@ def test_exit_code_bad_rate(capsys):
     assert err.startswith("error[INVALID]: ")
 
 
+@pytest.mark.parametrize("rate", ["1e-200", "1e-160", "1e160"])
+def test_exit_code_rate_out_of_float_range(capsys, rate):
+    code, out, err = run(capsys, "design", "--tf", "1/(s^2+s+1)", "--rate", rate)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error[INVALID]: loop rate {float(rate)!r} Hz is out of float64 range "
+        "for order 2\n"
+    )
+
+
 # ------------------------------------------------------------------ chirp
 
 

@@ -2,7 +2,11 @@
 
 import math
 import random
+import re
+import struct
+import sys
 
+import numpy as np
 import pytest
 
 from tustin.discretize import (
@@ -91,6 +95,37 @@ def test_nonpositive_rate_rejected():
     for rate in (0.0, -5.0, float("nan"), float("inf")):
         with pytest.raises(NonPositiveRateError):
             tustin_horner(lp, rate)
+
+
+@pytest.mark.parametrize("design", ROUTES)
+@pytest.mark.parametrize("rate", [1e-200, 1e-160, 1e160])
+def test_rate_out_of_float_range_refused(design, rate):
+    # (2*f_l)**2 is 0, subnormal and inf: the stepwise route divided by zero,
+    # raised on an inf coefficient or returned a_hat = 0, the direct route
+    # raised OverflowError
+    message = f"loop rate {rate!r} Hz is out of float64 range for order 2"
+    with pytest.raises(FilterDesignError, match=f"^{re.escape(message)}$"):
+        design(tf([1.0], [1.0, 1.0, 1.0]), rate)
+
+
+@pytest.mark.parametrize("rate", [1e-150, 1e150])
+def test_rate_inside_float_range_designs(rate):
+    h = tustin_horner(tf([1.0], [1.0, 1.0, 1.0]), rate)
+    d = tustin_direct(tf([1.0], [1.0, 1.0, 1.0]), rate)
+    for got, ref in ((h.a_hat, d.a_hat), (h.b_hat, d.b_hat)):
+        scale = max(abs(v) for v in ref)
+        assert 0.0 < scale and max(abs(g - r) for g, r in zip(got, ref)) <= 1e-9 * scale
+
+
+def test_rate_range_covers_the_power_either_route_computes():
+    # (2*f_l)**20 at this rate is normal as a product of 20 factors, which
+    # the stepwise route divides by, but subnormal as ** computes it, which
+    # the direct route multiplies by (glibc's pow)
+    two_fl = 4.1434988397562096e-16
+    assert math.prod([two_fl] * 20) >= sys.float_info.min > two_fl**20
+    for design in ROUTES:
+        with pytest.raises(FilterDesignError, match="out of float64 range for order 20"):
+            design(tf([1.0], np.poly([-1.0] * 20).tolist()), two_fl / 2.0)
 
 
 @pytest.mark.parametrize("design", ROUTES)
@@ -227,6 +262,14 @@ def test_pole_radii_stable_and_unstable():
     unstable = tustin_horner(tf([1.0], [1.0, -1.0]), 10.0)
     assert max(pole_radii(unstable)) > 1.0
     assert pole_radii(tustin_horner(tf([1.0], [2.0]), 10.0)) == ()
+
+
+def test_pole_radii_returns_a_trailing_zero_as_a_pole_at_the_origin():
+    # the pole at s = -2*f_l maps onto z = 0: b_hat is -0.0, which the
+    # companion matrix leaves out as np.roots does
+    coeffs = tustin_horner(tf([1.0], [1.0, 2000.0]), 1000.0)
+    assert struct.pack("<d", *coeffs.b_hat) == struct.pack("<d", -0.0)
+    assert pole_radii(coeffs) == (0.0,)
 
 
 def test_pole_radii_sorted_descending():

@@ -19,12 +19,14 @@ from hypothesis.extra.numpy import arrays
 from tustin import (
     ContinuousTransferFunction,
     bode_digital,
+    catalog,
     chirp_bode,
     tustin_direct,
     tustin_horner,
 )
 from tustin.analysis import MAGNITUDE_DB_FLOOR, FrequencyResponsePoint, compare_responses
-from tustin.discretize import DigitalFilterCoefficients
+from tustin.discretize import DigitalFilterCoefficients, normalize, pole_radii
+from tustin.polynomial import Polynomial
 from tustin.runtime import BLOCK_LEN, SLICE_BLOCKS, DigitalFilter, filter_series, process
 from tustin.tfparse import canonical_text, parse_expression
 from tustin.signals import (
@@ -161,6 +163,67 @@ def test_stepwise_route_matches_direct_expansion(tf):
         if ref:
             scale = max(abs(v) for v in ref)
             assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-9 * scale
+
+
+def polynomial_route(tf, rate):
+    """tustin_horner as one Polynomial object per step: the oracle that the
+    stepwise route on one coefficient list must equal bit for bit."""
+
+    def shift(p, c):
+        n = p.declared_order
+        w = list(p.descending())
+        for k in range(n):
+            for j in range(1, n + 1 - k):
+                w[j] += c * w[j - 1]
+        return Polynomial(tuple(reversed(w)))
+
+    def scale(p, c):
+        out, factor = [], 1.0
+        for v in p.coeffs:
+            out.append(v * factor)
+            factor *= c
+        return Polynomial(tuple(out))
+
+    def substitute(d, two_fl):
+        coeffs, power = [], 1.0
+        for c in d:
+            coeffs.append(c / power)
+            power *= two_fl
+        q = shift(Polynomial(tuple(coeffs)), 1.0)
+        q = Polynomial(tuple(reversed(q.coeffs)))
+        return shift(scale(q, 0.5), -1.0)
+
+    n = tf.order
+    num_z = substitute(tf.numerator.padded(n).descending(), 2.0 * rate)
+    den_z = substitute(tf.denominator.descending(), 2.0 * rate)
+    return normalize(num_z, den_z, rate)
+
+
+def roots_radii(coeffs):
+    b = np.array(coeffs.b_hat)
+    return tuple(sorted(abs(np.roots([1, *(-b)])), reverse=True))
+
+
+loop_rates = st.floats(math.log(1e-3), math.log(1e6)).map(math.exp)
+
+
+# Stable H(s) of orders 0-12 stay stable at every rate; the corners are
+# placed for 1 kHz, so the drawn rates also put them far above and below
+# Nyquist.  Pinned: a pure gain (order 0), pid's integrator on z = 1, and
+# poles at s = -2*f_l, which map onto z = 0 as trailing zeros of b_hat.
+@settings(deadline=None)
+@given(placed_transfer_functions(), loop_rates)
+@example(ContinuousTransferFunction.from_descending([3.0], [2.0]), 1000.0)
+@example(catalog.pid(1.0, 3.0, 0.5, 300.0), 1000.0)
+@example(ContinuousTransferFunction.from_descending([1.0], [1.0, 2000.0]), 1000.0)
+@example(ContinuousTransferFunction.from_descending(
+    [1.0], np.poly([-2000.0, -1955.0, -2068.0]).tolist()), 1000.0)
+def test_list_route_and_pole_radii_match_their_oracles_bitwise(tf, rate):
+    got = tustin_horner(tf, rate)
+    want = polynomial_route(tf, rate)
+    assert bits(got.a_hat) == bits(want.a_hat)
+    assert bits(got.b_hat) == bits(want.b_hat)
+    assert bits(pole_radii(got)) == bits(roots_radii(got))
 
 
 # ------------------------------------------------------ chirp demodulation
