@@ -100,9 +100,7 @@ def test_nonpositive_rate_rejected():
 @pytest.mark.parametrize("design", ROUTES)
 @pytest.mark.parametrize("rate", [1e-200, 1e-160, 1e160])
 def test_rate_out_of_float_range_refused(design, rate):
-    # (2*f_l)**2 is 0, subnormal and inf: the stepwise route divided by zero,
-    # raised on an inf coefficient or returned a_hat = 0, the direct route
-    # raised OverflowError
+    # (2*f_l)**2 is 0, subnormal and inf at these rates
     message = f"loop rate {rate!r} Hz is out of float64 range for order 2"
     with pytest.raises(FilterDesignError, match=f"^{re.escape(message)}$"):
         design(tf([1.0], [1.0, 1.0, 1.0]), rate)
