@@ -45,7 +45,7 @@ from .discretize import (
 from .runtime import RateMismatchError, filter_series
 # Not called here: perfbench's span tests expect the fold in this namespace.
 from .runtime import process  # noqa: F401
-from .signals import CHIRP_KINDS, ChirpSpec, TimeSeries, generate_chirp
+from .signals import CHIRP_KINDS, MAX_SAMPLES, ChirpSpec, TimeSeries, generate_chirp
 from .tfparse import TfSyntaxError, canonical_text, parse_coeff_lists, parse_expression
 
 SERIES_CSV_HEADER = "time_s,value"
@@ -283,6 +283,10 @@ def cmd_filter(args: argparse.Namespace) -> int:
     if len(table) < 2:
         raise ValueError(f"{args.input}: need at least two samples")
     times, values = table[:, 0], table[:, 1]
+    # Before the rate: a nan or inf time would make it nan.
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        raise ValueError(f"{args.input}: sample {bad[0]} at t = {times[bad[0]]} s is not finite")
     span = times[-1] - times[0]
     if span <= 0.0:
         raise ValueError(f"{args.input}: time column must increase")
@@ -309,6 +313,8 @@ def _frequency_grid(args: argparse.Namespace, rate: float | None) -> np.ndarray:
     points = getattr(args, "points", 200)
     if points < 2:
         raise _UsageError("--points must be at least 2")
+    if points > MAX_SAMPLES:
+        raise _UsageError(f"--points must be at most {MAX_SAMPLES}")
     return np.logspace(math.log10(fmin), math.log10(fmax), points)
 
 

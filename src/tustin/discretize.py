@@ -227,7 +227,8 @@ def _design(
         raise FilterDesignError(
             f"loop rate {loop_rate_hz!r} Hz is out of float64 range for order {n}"
         )
-    num_z = substitute(tf.numerator.padded(n).descending(), two_fl)
+    # The numerator's coefficients zero-padded to order n, descending.
+    num_z = substitute((tf.numerator.coeffs + (0.0,) * n)[n::-1], two_fl)
     den_z = substitute(tf.denominator.descending(), two_fl)
     return normalize(num_z, den_z, loop_rate_hz)
 

@@ -17,9 +17,10 @@ Trans. Audio Electroacoust. AU-20(4), 1972), in which each block of
 BLOCK_LEN outputs is one row of a matrix product over the block's inputs
 and the n inputs before it, read from the series, plus a term in the n
 outputs before it.  Only those n outputs cross block edges, by a linear
-recurrence that one scan solves for every block at once.  The products sum in another order than tick(), so the kernel agrees with
-the fold to rounding, not bitwise; where rounding could grow, it hands the
-series to the fold.
+recurrence that one scan solves for every block at once.  The products sum
+in another order than tick(), so the kernel agrees with the fold to
+rounding, not bitwise; where rounding could grow, it hands the series to
+the fold.
 """
 
 from __future__ import annotations

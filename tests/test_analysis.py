@@ -168,6 +168,27 @@ def test_bode_point_lists():
     assert dpts[0].magnitude_db == pytest.approx(pts[0].magnitude_db, abs=1e-3)
 
 
+def test_a_point_is_a_named_tuple_of_its_three_fields():
+    # What consumers rely on: the names in this order, unpacking, and a
+    # curve as its N x 3 array (equality and hashing: test_properties).
+    assert FrequencyResponsePoint._fields == ("freq_hz", "magnitude_db", "phase_deg")
+    pts = bode_digital(BUTTER, [1.0, 10.0])
+    f, m, ph = pts[1]
+    assert (f, m, ph) == (pts[1].freq_hz, pts[1].magnitude_db, pts[1].phase_deg)
+    table = np.array(pts)
+    assert table.shape == (2, 3)
+    assert table.tolist() == [[p.freq_hz, p.magnitude_db, p.phase_deg] for p in pts]
+
+
+def test_a_transmission_zero_is_minus_inf_in_memory_and_the_floor_in_files():
+    (zero,) = bode_continuous(catalog.notch(TWO_PI * 50.0, 5.0), [50.0])
+    assert zero.magnitude_db == -math.inf
+    buf = io.StringIO()
+    write_bode_csv([zero], buf)
+    (back,) = read_bode_csv(io.StringIO(buf.getvalue()))
+    assert back[:2] == (50.0, MAGNITUDE_DB_FLOOR)
+
+
 def test_phase_is_unwrapped_along_grid():
     # third-order-ish phase sweep has to cross -180 without jumping back
     coeffs = tustin_horner(catalog.multiorder_example(), RATE)

@@ -12,6 +12,7 @@ from tustin import catalog
 from tustin.analysis import stepped_sine_bode, write_bode_csv
 from tustin.cli import first_irregular_sample, main, read_coeff_file, write_coeff_file
 from tustin.discretize import DigitalFilterCoefficients, pole_radii, tustin_horner
+from tustin.signals import MAX_SAMPLES
 
 
 def run(capsys, *argv):
@@ -317,6 +318,22 @@ def test_filter_needs_two_samples_and_increasing_time(capsys, tmp_path, body, me
     assert (code, err) == (1, f"error[INVALID]: {signal}: {message}\n")
 
 
+@pytest.mark.parametrize("body, message", [
+    ("0,1\n0.001,2\nnan,3\n", "sample 2 at t = nan s is not finite"),
+    ("0,1\nnan,2\n0.002,3\n", "sample 1 at t = nan s is not finite"),
+    ("inf,1\ninf,2\n", "sample 0 at t = inf s is not finite"),
+], ids=["nan-last", "nan-middle", "all-inf"])
+def test_filter_refuses_a_time_that_is_not_finite(capsys, tmp_path, body, message):
+    # before the rate is derived: a nan rate would blame the wrong sample,
+    # and inf - inf would warn on stderr (an error under this suite)
+    coeffs = tmp_path / "id.json"
+    write_identity(coeffs)
+    signal = tmp_path / "sig.csv"
+    signal.write_text("time_s,value\n" + body)
+    code, _, err = run(capsys, "filter", "--coeffs", str(coeffs), "--input", str(signal))
+    assert (code, err) == (1, f"error[INVALID]: {signal}: {message}\n")
+
+
 def test_broken_coeff_files_rejected(capsys, tmp_path):
     signal = tmp_path / "sig.csv"
     make_constant_csv(signal)
@@ -568,6 +585,16 @@ def test_bode_bad_grid(capsys, butter_file):
         str(butter_file), "--points", "1",
     )
     assert (code, err) == (2, "error[ARGS]: --points must be at least 2\n")
+
+
+@pytest.mark.parametrize("points", [10**12, MAX_SAMPLES + 1])
+def test_bode_refuses_a_grid_above_the_sample_cap(capsys, butter_file, points):
+    # refused before the grid is allocated: 10**12 points would need 7 TiB
+    code, _, err = run(
+        capsys, "bode", "--method", "analytic-digital", "--coeffs",
+        str(butter_file), "--points", str(points),
+    )
+    assert (code, err) == (2, f"error[ARGS]: --points must be at most {MAX_SAMPLES}\n")
 
 
 @pytest.mark.parametrize("rate, band", [

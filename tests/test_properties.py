@@ -2,13 +2,16 @@
 demodulator against the plain algorithms they replace, the stepwise design
 route against the direct expansion, the runtime against its difference
 equation written out term by term, the block kernel against the fold, the
-canonical expression text against the parser, and a curve compared with
-itself."""
+canonical expression text against the parser, a curve compared with
+itself, and response curves and their files against the frozen-dataclass
+points they replace."""
 
 import cmath
+import io
 import math
 import struct
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,13 +21,25 @@ from hypothesis.extra.numpy import arrays
 
 from tustin import (
     ContinuousTransferFunction,
+    analysis,
+    bode_continuous,
     bode_digital,
     catalog,
     chirp_bode,
+    read_bode_csv,
+    stepped_sine_bode,
     tustin_direct,
     tustin_horner,
+    write_bode_csv,
 )
-from tustin.analysis import MAGNITUDE_DB_FLOOR, FrequencyResponsePoint, compare_responses
+from tustin.analysis import (
+    BODE_CSV_HEADER,
+    MAGNITUDE_DB_FLOOR,
+    STEPPED_SINE_MAX_FREQ_FRACTION,
+    FrequencyResponsePoint,
+    compare_responses,
+)
+from tustin.csvio import read_csv, write_csv
 from tustin.discretize import DigitalFilterCoefficients, normalize, pole_radii
 from tustin.polynomial import Polynomial
 from tustin.runtime import BLOCK_LEN, SLICE_BLOCKS, DigitalFilter, filter_series, process
@@ -116,18 +131,20 @@ def placed_roots(draw, order, p):
 
 
 @st.composite
-def stable_designs(draw):
+def stable_transfer_functions(draw):
     order = draw(st.integers(1, 6))
     den = placed_roots(draw, order, np.array([1.0]))
     num = np.array([draw(st.floats(0.1, 10.0))])
     for _ in range(draw(st.integers(0, order))):
         num = np.polymul(num, [1.0, 2.0 * math.pi * math.exp(draw(log_corner))])
-    tf = ContinuousTransferFunction.from_descending(num.tolist(), den.tolist())
-    return tustin_horner(tf, RATE)
+    return ContinuousTransferFunction.from_descending(num.tolist(), den.tolist())
+
+
+stable_designs = stable_transfer_functions().map(lambda tf: tustin_horner(tf, RATE))
 
 
 @settings(deadline=None)
-@given(stable_designs())
+@given(stable_designs)
 def test_bode_digital_matches_sum_of_powers(coeffs):
     freqs = np.logspace(-1.0, math.log10(0.45 * RATE), 50)
     points = bode_digital(coeffs, freqs)
@@ -269,7 +286,7 @@ def chirp_measurements(draw):
 
 
 @settings(deadline=None, max_examples=50)
-@given(stable_designs(), chirp_measurements())
+@given(stable_designs, chirp_measurements())
 def test_chirp_bode_matches_a_per_window_fit(coeffs, measurement):
     spec, window_cycles, hop_cycles = measurement
     if hop_cycles < np.diff(chirp_phase(spec)).max() / (2.0 * math.pi):
@@ -373,7 +390,7 @@ kernel_samples = st.one_of(
 
 @settings(deadline=None)
 @given(
-    stable_designs(),
+    stable_designs,
     series_lengths.flatmap(lambda n: arrays(np.float64, n, elements=kernel_samples)),
     st.booleans(),
 )
@@ -446,3 +463,107 @@ def test_a_curve_compared_with_itself_deviates_nowhere(curve):
     assert got.points_compared == len(curve)
     assert got.max_abs_magnitude_db == got.mean_abs_magnitude_db == 0.0
     assert got.max_abs_phase_deg == got.mean_abs_phase_deg == 0.0
+
+
+# --------------------------------------------------------- response points
+
+
+@dataclass(frozen=True)
+class DataclassPoint:
+    # A response point as a frozen dataclass, built and read field by field.
+    freq_hz: float
+    magnitude_db: float
+    phase_deg: float
+
+
+def dataclass_points(freqs_hz, response):
+    h = np.asarray(response, dtype=complex)
+    with np.errstate(divide="ignore"):
+        mag_db = 20.0 * np.log10(np.abs(h))
+    phase_deg = np.degrees(np.unwrap(np.angle(h)))
+    freqs = np.asarray(freqs_hz, dtype=float).tolist()
+    return [
+        DataclassPoint(f, m, p)
+        for f, m, p in zip(freqs, mag_db.tolist(), phase_deg.tolist())
+    ]
+
+
+def dataclass_write_bode_csv(points, fh):
+    write_csv(fh, BODE_CSV_HEADER, [
+        [p.freq_hz for p in points],
+        np.maximum([p.magnitude_db for p in points], MAGNITUDE_DB_FLOOR),
+        [p.phase_deg for p in points],
+    ])
+
+
+def dataclass_read_bode_csv(fh):
+    return [DataclassPoint(*row) for row in read_csv(fh, BODE_CSV_HEADER).tolist()]
+
+
+def point_bits(points):
+    # Every field as its float64 bytes; a numpy scalar would pack too, so
+    # the fields' type is checked as well.
+    fields = [(p.freq_hz, p.magnitude_db, p.phase_deg) for p in points]
+    assert all(type(v) is float for row in fields for v in row)
+    return [struct.pack("<3d", *row) for row in fields]
+
+
+def curve_or_error(make):
+    try:
+        return make()
+    except ValueError as e:
+        return type(e), str(e)
+
+
+response_grids = st.lists(
+    st.floats(0.1, STEPPED_SINE_MAX_FREQ_FRACTION * RATE, exclude_max=True), max_size=40
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(stable_transfer_functions(), response_grids, chirp_measurements())
+@example(  # a transmission zero at 50 Hz: -inf dB in memory, the floor in files
+    catalog.notch(2.0 * math.pi * 50.0, 5.0), [10.0, 50.0, 200.0],
+    (ChirpSpec("exponential", 2.0 * math.pi * 0.5, 2.0 * math.pi * 400.0, 2.0, 1.0, RATE),
+     4.0, 1.0),
+)
+def test_curves_and_files_are_the_dataclass_route_bitwise(tf, grid, measurement):
+    coeffs = tustin_horner(tf, RATE)
+    spec, window_cycles, hop_cycles = measurement
+    curves = {
+        "continuous": lambda: bode_continuous(tf, grid),
+        "digital": lambda: bode_digital(coeffs, grid),
+        "stepped": lambda: stepped_sine_bode(coeffs, grid[:3]),
+        "chirp": lambda: chirp_bode(coeffs, spec, window_cycles, hop_cycles),
+    }
+    for name, make in curves.items():
+        got = curve_or_error(make)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_to_points", dataclass_points)
+            want = curve_or_error(make)
+        if isinstance(want, tuple):
+            assert got == want, name
+            continue
+        assert all(type(p) is FrequencyResponsePoint for p in got), name
+        assert point_bits(got) == point_bits(want), name
+        got_file, want_file = io.StringIO(), io.StringIO()
+        write_bode_csv(got, got_file)
+        dataclass_write_bode_csv(want, want_file)
+        assert got_file.getvalue() == want_file.getvalue(), name
+        back = read_bode_csv(io.StringIO(got_file.getvalue()))
+        want_back = dataclass_read_bode_csv(io.StringIO(want_file.getvalue()))
+        assert point_bits(back) == point_bits(want_back), name
+
+
+finite_points = st.builds(FrequencyResponsePoint, finite_coeffs, finite_coeffs, finite_coeffs)
+
+
+@given(st.lists(finite_points, max_size=20))
+def test_a_point_is_the_tuple_of_its_fields(curve):
+    # It equals and hashes as the plain tuple, as the frozen dataclass hashed.
+    for p in curve:
+        fields = (p.freq_hz, p.magnitude_db, p.phase_deg)
+        assert p == fields and tuple(p) == fields
+        assert hash(p) == hash(fields) == hash(DataclassPoint(*fields))
+        with pytest.raises(AttributeError):
+            p.freq_hz = 1.0
