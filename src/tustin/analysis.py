@@ -4,14 +4,16 @@ Three independent views of the same filter are available:
 
 * analytic continuous response N(jw)/D(jw) of the source transfer function,
 * analytic digital response of the difference equation on the unit circle,
-* measured responses, by stepped-sine fitting or by demodulating a chirp.
+* measured responses, by stepped-sine fitting or as a chirp's spectral ratio.
 
 Both analytic views are numpy's ``np.polyval(num, x) / np.polyval(den, x)``
 on the whole grid, bit for bit, with x = j*w or z^-1 = exp(-j*w*dt).
 
-The measured views know their input exactly, so they fit only the filter
-output, by least squares against the generator's own sine: the stepped
-probe itself, or the chirp's phasor states (sin_i, cos_i).
+The measured views know their input exactly.  Stepped sine fits only the
+filter output, by least squares against the probe sine itself.  The chirp
+divides the DFT of the filter output by that of the sweep, both zero-padded
+past the design's impulse-response tail, so the ratio is the response at
+each bin up to that tail and rounding.
 
 Because the design applies no prewarping, the digital response at angular
 frequency w equals the continuous response at 2*f_l*tan(w*dt/2); curves are
@@ -41,7 +43,7 @@ from .csvio import read_csv, write_csv
 from .runtime import filter_series
 # Not called here: perfbench's span tests expect the fold in this namespace.
 from .runtime import process  # noqa: F401
-from .signals import ChirpSpec, TimeSeries, chirp_phase, chirp_quadrature, generate_sine
+from .signals import ChirpSpec, TimeSeries, generate_chirp, generate_sine
 
 BODE_CSV_HEADER = "freq_hz,magnitude_db,phase_deg"
 
@@ -55,15 +57,19 @@ STEPPED_SINE_MAX_FREQ_FRACTION = 0.45
 # A stepped-sine probe settles, by default, until the impulse response's
 # tail sum_{j>=k} |h_j| is at most this fraction of sum |h|: a unit sine
 # started from rest is then that close to its steady state at every
-# measured sample.
+# measured sample.  chirp_bode zero-pads its sweep by the same tail.
 SETTLE_TAIL_RTOL = 1e-12
 
 # The longest impulse response run to find that tail, in samples.  A design
 # whose tail outlasts half of it (a pole within about 5e-5 of the unit
 # circle), or whose poles reach the unit circle, settles for a fixed
-# FALLBACK_SETTLE_CYCLES input cycles instead.
+# FALLBACK_SETTLE_CYCLES input cycles instead; chirp_bode refuses it.
 SETTLE_MAX_SAMPLES = 2**20
 FALLBACK_SETTLE_CYCLES = 20
+
+# chirp_bode reports the DFT bins nearest a log grid of this many points
+# over the sweep band, the default grid size of the other methods.
+CHIRP_POINTS = 200
 
 
 class AboveNyquistError(ValueError):
@@ -207,26 +213,19 @@ def bode_digital(
     return _to_points(freqs_hz, _digital(coeffs, omega))
 
 
-def _fit_quadrature(
-    sin_ref: np.ndarray, cos_ref: np.ndarray, u: np.ndarray, edges: Sequence[int]
-) -> np.ndarray:
+def _fit_quadrature(sin_ref: np.ndarray, cos_ref: np.ndarray, u: np.ndarray) -> complex:
     # Least-squares fit u ~ p*sin_ref + q*cos_ref via the 2x2 normal
-    # equations on each window [edges[0], edges[1]), [edges[2], edges[3]),
-    # ...; with an odd count the last window runs to the end.  Returns
-    # p + jq per window.  Solving exactly (instead of summing
-    # u*exp(-j*phase)) removes the second-harmonic leakage of short
-    # windows.  Each sum is its own reduceat segment: a difference of
-    # running sums would cancel away a stopband's or a notch's few digits.
+    # equations; returns p + jq.  Solving exactly (instead of summing
+    # u*exp(-j*phase)) removes the second-harmonic leakage of a fit over a
+    # span that rounding has made not quite whole cycles.  reduceat adds in
+    # index order; np.sum's pairwise order would move the curves' last bits.
     terms = np.stack([sin_ref * sin_ref, cos_ref * cos_ref, sin_ref * cos_ref,
                       u * sin_ref, u * cos_ref])
-    sss, scc, ssc, us, uc = np.add.reduceat(terms, edges, axis=1)[:, ::2]
+    sss, scc, ssc, us, uc = np.add.reduceat(terms, [0], axis=1)[:, 0]
     det = sss * scc - ssc * ssc
-    if np.any(det <= 0.0):
-        raise ValueError("degenerate demodulation window")
-    fit = np.empty(det.shape, dtype=complex)
-    fit.real = (scc * us - ssc * uc) / det
-    fit.imag = (sss * uc - ssc * us) / det
-    return fit
+    if det <= 0.0:
+        raise ValueError("degenerate stepped-sine fit")
+    return complex((scc * us - ssc * uc) / det, (sss * uc - ssc * us) / det)
 
 
 def _settle_samples(coeffs: DigitalFilterCoefficients) -> int | None:
@@ -311,30 +310,29 @@ def stepped_sine_bode(
         i0 = int(round(cycles / f * rate))
         # A unit sine with no offset is its own sine reference.
         cos_ref = np.cos(2.0 * math.pi * f * series.times[i0:])
-        responses.append(
-            _fit_quadrature(series.samples[i0:], cos_ref, out.samples[i0:], [0])[0]
-        )
+        responses.append(_fit_quadrature(series.samples[i0:], cos_ref, out.samples[i0:]))
     return _to_points(freqs, responses)
 
 
-def chirp_bode(
-    coeffs: DigitalFilterCoefficients,
-    spec: ChirpSpec,
-    window_cycles: float = 4.0,
-    hop_cycles: float = 1.0,
-) -> list[FrequencyResponsePoint]:
-    """Measure the response in one pass by demodulating a chirp.
+def chirp_bode(coeffs: DigitalFilterCoefficients, spec: ChirpSpec) -> list[FrequencyResponsePoint]:
+    """Measure the response in one pass as the ratio of two spectra.
 
-    The chirp A*sin_i (A = ``spec.amplitude``) is filtered once.  The output alone is demodulated,
-    against the generator's own phasor states (sin_i, cos_i), over sliding
-    windows spanning ``window_cycles`` of the accumulated phase and hopping
-    by ``hop_cycles``; the input is known exactly, so the fit divided by A
-    is the response, one point per window at the window's average
-    frequency.  Windows that would run past the end of the sweep are
-    dropped, not padded, and so are windows of fewer than 4 samples.
-    Both lengths must be finite and positive, and the hop no shorter than
-    the sweep's largest phase step per sample, so that no two windows
-    start on one sample.
+    The chirp x = A*sin_i (A = ``spec.amplitude``) is zero-padded to N
+    samples, the next power of two at or above its length plus the
+    design's impulse-response tail (see SETTLE_TAIL_RTOL), and filtered
+    once from rest.  The input is known exactly and y = h * x, so the
+    response is H = Y/X, the ratio of their DFTs, exact up to that tail
+    and rounding.  It is reported at the distinct DFT bins nearest a
+    CHIRP_POINTS-point log grid over the sweep band, keeping only bins
+    strictly inside it; a sweep that leaves fewer than two is refused.
+
+    A pole at z = 1, such as pid's integrator, leaves a tail that never
+    decays.  For such a design output and input are differenced first:
+    (1 - z^-1) cancels that pole, and H = D/((1 - e^-jw) X), D the
+    differenced output's DFT.  The tail is that of the design with the
+    pole divided out.  Any other pole on or within
+    UNIT_CIRCLE_MARGIN of the unit circle, or a tail that outlasts half
+    of SETTLE_MAX_SAMPLES, is refused, naming the largest pole radius.
 
     The sweep must cover at least two decades, end below the Nyquist
     frequency (AboveNyquistError otherwise), have an amplitude of at
@@ -352,38 +350,48 @@ def chirp_bode(
             f"chirp amplitude must be at least {sys.float_info.min!r} in magnitude "
             f"(the filter flushes smaller inputs to zero), got {spec.amplitude!r}"
         )
-    for name, cycles in (("window_cycles", window_cycles), ("hop_cycles", hop_cycles)):
-        # Finite in radians as well: 1e308 cycles is not.
-        if not 0.0 < 2.0 * math.pi * cycles < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {cycles!r}")
-    phase = chirp_phase(spec)
-    # A hop shorter than a phase step could start two windows on one sample.
-    min_hop = float(np.diff(phase).max()) / (2.0 * math.pi)
-    if hop_cycles < min_hop:
+    # D(z) = z^n - b_hat[0] z^(n-1) - ...: D(1), the sum of its
+    # coefficients, vanishes with a pole at z = 1, and their running sums
+    # are then those of D(z) / (z - 1).  A trailing zero b_hat, a pole at
+    # z = 0, keeps a_hat's length valid for that quotient.
+    rest = np.cumsum([1.0, *(-b for b in coeffs.b_hat)])
+    integrator = abs(rest[-1]) <= UNIT_CIRCLE_MARGIN * (1.0 + sum(map(abs, coeffs.b_hat)))
+    settled = DigitalFilterCoefficients(
+        coeffs.a_hat, (*-rest[1:-1], 0.0), coeffs.loop_rate_hz
+    ) if integrator else coeffs
+    tail = _settle_samples(settled)
+    if tail is None:
         raise ValueError(
-            f"hop_cycles must be at least the sweep's largest phase step per sample, "
-            f"{min_hop!r} cycles, got {hop_cycles!r}"
+            f"chirp_bode needs every z-pole but one at z = 1 to settle within "
+            f"{SETTLE_MAX_SAMPLES // 2} samples; the largest radius is "
+            f"{max(pole_radii(settled))!r}"
         )
-    cos_states, sin_states = chirp_quadrature(spec)
-    y = filter_series(coeffs, TimeSeries(spec.sample_rate, spec.amplitude * sin_states))
-    window_span = 2.0 * math.pi * window_cycles
-    hop_span = 2.0 * math.pi * hop_cycles
-    # One window more than fit, so rounding cannot lose the last one.
-    starts = np.arange((phase[-1] - window_span) // hop_span + 2.0) * hop_span
-    ends = starts + window_span
-    i0 = np.searchsorted(phase, starts, side="left")
-    i1 = np.searchsorted(phase, ends, side="left")
-    keep = (ends <= phase[-1]) & (i1 - i0 >= 4)
-    i0, i1 = i0[keep], i1[keep]
-    if not i0.size:
-        raise ValueError("sweep too short: no demodulation window fits")
-    # Every kept window ends at or before the last sample (end <= phase[-1]),
-    # so the interleaved edges are valid reduceat indices.
-    edges = np.column_stack([i0, i1]).ravel()
-    fit = _fit_quadrature(sin_states, cos_states, y.samples, edges)
-    elapsed = (i1 - 1 - i0) * (1.0 / spec.sample_rate)
-    freqs = (phase[i1 - 1] - phase[i0]) / elapsed / (2.0 * math.pi)
-    return _to_points(freqs, fit / spec.amplitude)
+    x = generate_chirp(spec).samples
+    n = 1 << (len(x) + tail - 1).bit_length()
+    x = np.pad(x, (0, n - len(x)))
+    y = filter_series(coeffs, TimeSeries(spec.sample_rate, x), use_startup_heuristic=False)
+    x, y = x / spec.amplitude, y.samples / spec.amplitude
+    if integrator:
+        # (1 - z^-1) on both sides cancels the pole and leaves H = Y/X.
+        x, y = np.diff(x, prepend=0.0), np.diff(y, prepend=0.0)
+    fmin, fmax = spec.omega_min / (2.0 * math.pi), spec.omega_max / (2.0 * math.pi)
+    step = spec.sample_rate / n
+    bins = np.unique(np.rint(np.geomspace(fmin, fmax, CHIRP_POINTS) / step).astype(int))
+    bins = bins[(bins * step > fmin) & (bins * step < fmax)]
+    if bins.size < 2:
+        raise ValueError(
+            f"sweep of {spec.duration_s!r} s is too short: zero-padded to {n} samples, "
+            f"it puts {bins.size} DFT bins inside {fmin:.9g}-{fmax:.9g} Hz, fewer than 2"
+        )
+    # One rfft per row: numpy's batched one took 8 ms at N = 2^17, two 5 ms.
+    big_x, big_y = (np.fft.rfft(u)[bins] for u in (x, y))
+    (xr, xi), (yr, yi) = (big_x.real, big_x.imag), (big_y.real, big_y.imag)
+    # Y conj(X) / |X|^2 in real arithmetic is exactly 1 where Y == X;
+    # numpy's complex division is not, nor its product where it fuses a
+    # multiply and an add.
+    norm = xr * xr + xi * xi
+    h = (yr * xr + yi * xi) / norm + 1j * ((yi * xr - yr * xi) / norm)
+    return _to_points(bins * step, h)
 
 
 def _sorted_curve(

@@ -71,8 +71,7 @@ BODE_METHODS = {
     "analytic-continuous": ("tf", "num", "den", *_GRID),
     "analytic-digital": ("coeffs", *_GRID),
     "stepped": ("coeffs", *_GRID, "settle_cycles", "measure_cycles"),
-    "chirp": ("coeffs", "kind", "fmin_hz", "fmax_hz", "duration", "amplitude",
-              "window_cycles", "hop_cycles"),
+    "chirp": ("coeffs", "kind", "fmin_hz", "fmax_hz", "duration", "amplitude"),
 }
 
 # Names every design and bode variant reads: the subcommand, the variant
@@ -176,7 +175,9 @@ def first_irregular_sample(times: np.ndarray, rate: float) -> int | None:
     of two 9-significant-digit time stamps, 1e-8 * rate * max(|t|).
     """
     t = np.asarray(times, dtype=float)
-    err = np.abs(np.diff(t) * rate - 1.0)
+    # A step that overflows is inf, and irregular: no warning.
+    with np.errstate(over="ignore"):
+        err = np.abs(np.diff(t) * rate - 1.0)
     tol = RATE_SNAP_RTOL + 1e-8 * rate * np.maximum(np.abs(t[:-1]), np.abs(t[1:]))
     bad = np.flatnonzero(~(err <= tol))
     return int(bad[0]) + 1 if bad.size else None
@@ -287,10 +288,17 @@ def cmd_filter(args: argparse.Namespace) -> int:
     bad = np.flatnonzero(~np.isfinite(times))
     if bad.size:
         raise ValueError(f"{args.input}: sample {bad[0]} at t = {times[bad[0]]} s is not finite")
-    span = times[-1] - times[0]
+    # As Python floats, a span that overflows is inf, not a numpy warning.
+    span = float(times[-1]) - float(times[0])
     if span <= 0.0:
         raise ValueError(f"{args.input}: time column must increase")
     rate = (len(times) - 1) / span
+    # 0.0 for an infinite span, inf for a subnormal one.
+    if not sys.float_info.min <= rate <= sys.float_info.max:
+        raise ValueError(
+            f"{args.input}: time span {span!r} s gives sample rate {rate!r} Hz, "
+            f"outside the normal float range"
+        )
     if abs(rate - coeffs.loop_rate_hz) <= RATE_SNAP_RTOL * coeffs.loop_rate_hz:
         rate = coeffs.loop_rate_hz
     i = first_irregular_sample(times, rate)
@@ -299,6 +307,9 @@ def cmd_filter(args: argparse.Namespace) -> int:
             f"{args.input}: sample {i} at t = {times[i]:.9g} s is not "
             f"1/{rate:.9g} s after the previous one"
         )
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{args.input}: sample {bad[0]} value {values[bad[0]]} is not finite")
     series = TimeSeries(rate, values, t0=times[0])
     out = filter_series(coeffs, series, use_startup_heuristic=not args.no_heuristic)
     with _out_stream(args.out) as fh:
@@ -321,9 +332,6 @@ def _frequency_grid(args: argparse.Namespace, rate: float | None) -> np.ndarray:
 def cmd_bode(args: argparse.Namespace) -> int:
     method = args.method
     _refuse_unread(args, f"method {method!r}", BODE_METHODS[method])
-    # The --*-cycles flags tune the measured methods.  They go to analysis
-    # only when given, so its defaults hold.
-    tuning = {name: v for name, v in vars(args).items() if name.endswith("_cycles")}
     if method == "analytic-continuous":
         tf, _ = _tf_from_args(args, _GRID, "--tf or --num with --den")
         points = bode_continuous(tf, _frequency_grid(args, None))
@@ -335,9 +343,12 @@ def cmd_bode(args: argparse.Namespace) -> int:
         if method == "analytic-digital":
             points = bode_digital(coeffs, _frequency_grid(args, rate))
         elif method == "stepped":
+            # The --*-cycles flags go to analysis only when given, so its
+            # defaults hold.
+            tuning = {name: v for name, v in vars(args).items() if name.endswith("_cycles")}
             points = stepped_sine_bode(coeffs, _frequency_grid(args, rate), **tuning)
         else:
-            points = chirp_bode(coeffs, _chirp_spec(args, rate), **tuning)
+            points = chirp_bode(coeffs, _chirp_spec(args, rate))
     with _out_stream(args.out) as fh:
         write_bode_csv(points, fh)
     return 0
@@ -445,8 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=CHIRP_KINDS, help="sweep law (chirp method)")
     p.add_argument("--duration", type=float, help="sweep length, s (chirp method)")
     p.add_argument("--amplitude", type=float)
-    p.add_argument("--window-cycles", type=float)
-    p.add_argument("--hop-cycles", type=float)
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
     p.set_defaults(func=cmd_bode)
 

@@ -49,8 +49,8 @@ class Polynomial:
 
     @classmethod
     def from_descending(cls, coeffs: Sequence[float]) -> "Polynomial":
-        """Build from descending-power coefficients; see :meth:`padded` to
-        raise the declared order."""
+        """Build from descending-power coefficients; leading zeros are kept
+        and count toward the declared order."""
         return cls(tuple(reversed(coeffs)))
 
     @property
@@ -60,14 +60,6 @@ class Polynomial:
     def descending(self) -> tuple[float, ...]:
         """Coefficients in descending power order (engineering convention)."""
         return tuple(reversed(self.coeffs))
-
-    def padded(self, order: int) -> "Polynomial":
-        """Same polynomial with the declared order raised to ``order``."""
-        if order < self.declared_order:
-            raise ValueError(
-                f"cannot pad order {self.declared_order} down to {order}"
-            )
-        return Polynomial(self.coeffs + (0.0,) * (order - self.declared_order))
 
 
 def taylor_shift(w: list[float], c: float) -> list[float]:

@@ -12,9 +12,8 @@ complex product of the step phasors cos(w_c dt) + j sin(w_c dt), which
 performs the same multiplies in the same order.  The rotation keeps
 cos**2 + sin**2 pinned to 1 to rounding error over millions of samples.
 The running sum of the angle increments is the sweep's accumulated phase.
-The Bode demodulator places its windows on that phase and fits against the
-phasor states themselves, so generator and analyzer share the very same
-sine, not a recomputed sin(phase).
+The chirp Bode measurement divides by the spectrum of :func:`generate_chirp`
+itself, so generator and analyzer share the very same samples.
 """
 
 from __future__ import annotations

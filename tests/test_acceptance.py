@@ -248,18 +248,19 @@ def test_criterion_8_bode_pipeline():
         spec = ChirpSpec(
             "exponential", TWO_PI * 0.1, TWO_PI * 100.0, 120.0, 1.0, RATE
         )
+        # DFT bins nearest a 200-point log grid of 0.1-100 Hz: 172 in 0.2-80 Hz
         measured = [p for p in chirp_bode(coeffs, spec) if 0.2 <= p.freq_hz <= 80.0]
-        assert len(measured) > 200
+        assert len(measured) > 150
         truth = bode_digital(coeffs, [p.freq_hz for p in measured])
         dmag = max(abs(m.magnitude_db - t.magnitude_db) for m, t in zip(measured, truth))
         dph = max(abs(m.phase_deg - t.phase_deg) for m, t in zip(measured, truth))
-        assert dmag <= 0.5
-        assert dph <= 5.0
+        assert dmag <= 1e-7
+        assert dph <= 1e-6
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0
         notes["detail"] = (
             f"-3 dB point {stepped[10.0]:.3f} dB, slope {slope:.1f} dB/dec, "
-            f"chirp dev {dmag:.3f} dB / {dph:.3f} deg, {elapsed:.1f} s"
+            f"chirp dev {dmag:.1e} dB / {dph:.1e} deg, {elapsed:.1f} s"
         )
 
 

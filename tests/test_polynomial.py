@@ -29,19 +29,10 @@ def test_from_descending_round_trip():
     assert p.declared_order == 2
 
 
-def test_from_descending_pads_high_end():
-    # numerator 1 declared at order 1 becomes 0*s + 1
-    p = Polynomial.from_descending([1.0]).padded(1)
-    assert desc(p) == [0.0, 1.0]
-    assert p.declared_order == 1
-
-
 def test_padding_is_preserved_not_trimmed():
     p = Polynomial((1.0, 0.0, 0.0))
     assert p.declared_order == 2
-    assert p.padded(4).declared_order == 4
-    with pytest.raises(ValueError):
-        p.padded(1)
+    assert desc(p) == [0.0, 0.0, 1.0]
 
 
 def test_rejects_empty_and_nonfinite():
@@ -85,7 +76,7 @@ def test_taylor_shift_back_completes_walkthrough():
 
 def test_reverse_uses_declared_order():
     # reversal over the padded length is what makes pure-gain numerators work
-    p = Polynomial.from_descending([1.0]).padded(2)  # 0x^2 + 0x + 1
+    p = Polynomial.from_descending([0.0, 0.0, 1.0])  # 0x^2 + 0x + 1
     assert desc(p)[::-1] == [1.0, 0.0, 0.0]
 
 

@@ -1,10 +1,11 @@
-"""Property tests: the vectorized sweep, response evaluator and chirp
-demodulator against the plain algorithms they replace, the stepwise design
-route against the direct expansion, the runtime against its difference
-equation written out term by term, the block kernel against the fold, the
-canonical expression text against the parser, a curve compared with
-itself, and response curves and their files against the frozen-dataclass
-points they replace."""
+"""Property tests: the vectorized sweep, response evaluator and stepped-sine
+fit against the plain algorithms they replace, the chirp's spectral ratio
+against the analytic digital response, the stepwise design route against
+the direct expansion, the runtime against its difference equation written
+out term by term, the block kernel against the fold, the canonical
+expression text against the parser, a curve compared with itself, and
+response curves and their files against the frozen-dataclass points they
+replace."""
 
 import cmath
 import io
@@ -48,9 +49,7 @@ from tustin.signals import (
     ChirpSpec,
     TimeSeries,
     _step_angles,
-    chirp_phase,
     chirp_quadrature,
-    generate_chirp,
 )
 
 # ------------------------------------------------------------ chirp sweep
@@ -211,7 +210,7 @@ def polynomial_route(tf, rate):
         return shift(scale(q, 0.5), -1.0)
 
     n = tf.order
-    num_z = substitute(tf.numerator.padded(n).descending(), 2.0 * rate)
+    num_z = substitute(((0.0,) * n + tf.numerator.descending())[-(n + 1):], 2.0 * rate)
     den_z = substitute(tf.denominator.descending(), 2.0 * rate)
     return normalize(num_z, den_z, rate)
 
@@ -243,33 +242,7 @@ def test_list_route_and_pole_radii_match_their_oracles_bitwise(tf, rate):
     assert bits(pole_radii(got)) == bits(roots_radii(got))
 
 
-# ------------------------------------------------------ chirp demodulation
-
-
-def chirp_bode_per_window(coeffs, spec, window_cycles, hop_cycles):
-    # One window at a time: fit input and output by lstsq against sin and
-    # cos of the accumulated phase; the response is the ratio of the fits.
-    x = generate_chirp(spec).samples
-    y = process(coeffs, TimeSeries(spec.sample_rate, x)).samples
-    phase = chirp_phase(spec)
-    ref = np.column_stack([np.sin(phase), np.cos(phase)])
-    window = 2.0 * math.pi * window_cycles
-    hop = 2.0 * math.pi * hop_cycles
-    freqs, ratios = [], []
-    k = 0
-    while k * hop + window <= phase[-1]:
-        i0 = int(np.searchsorted(phase, k * hop))
-        i1 = int(np.searchsorted(phase, k * hop + window))
-        k += 1
-        if i1 - i0 < 4:
-            continue
-        (px, qx), (py, qy) = (
-            np.linalg.lstsq(ref[i0:i1], u[i0:i1], rcond=None)[0] for u in (x, y)
-        )
-        elapsed = (i1 - 1 - i0) * (1.0 / spec.sample_rate)
-        freqs.append((phase[i1 - 1] - phase[i0]) / elapsed / (2.0 * math.pi))
-        ratios.append(complex(py, qy) / complex(px, qx))
-    return freqs, np.array(ratios)
+# ------------------------------------------------- chirp spectral ratio
 
 
 @st.composite
@@ -280,32 +253,62 @@ def chirp_measurements(draw):
     kind = draw(st.sampled_from(["linear", "exponential"]))
     amplitude = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
     duration = draw(st.integers(500, 4000)) / RATE
-    spec = ChirpSpec(kind, 2.0 * math.pi * fmin, 2.0 * math.pi * fmax, duration,
+    return ChirpSpec(kind, 2.0 * math.pi * fmin, 2.0 * math.pi * fmax, duration,
                      amplitude, RATE)
-    return spec, draw(st.floats(0.25, 8.0)), draw(st.floats(0.25, 4.0))
+
+
+# The ratio of spectra is exact up to the impulse-response tail left past
+# N samples (SETTLE_TAIL_RTOL of its total) and rounding: every point lies
+# within 1e-9 of the largest |H| on the grid.
+CHIRP_RTOL = 1e-9
 
 
 @settings(deadline=None, max_examples=50)
 @given(stable_designs, chirp_measurements())
-def test_chirp_bode_matches_a_per_window_fit(coeffs, measurement):
-    spec, window_cycles, hop_cycles = measurement
-    if hop_cycles < np.diff(chirp_phase(spec)).max() / (2.0 * math.pi):
-        # a hop shorter than one sample's phase step is refused
-        with pytest.raises(ValueError, match="^hop_cycles must be at least"):
-            chirp_bode(coeffs, spec, window_cycles, hop_cycles)
-        return
-    freqs, want = chirp_bode_per_window(coeffs, spec, window_cycles, hop_cycles)
-    if not freqs:
-        with pytest.raises(ValueError, match="no demodulation window fits"):
-            chirp_bode(coeffs, spec, window_cycles, hop_cycles)
-        return
-    points = chirp_bode(coeffs, spec, window_cycles, hop_cycles)
-    assert np.array([p.freq_hz for p in points]).tobytes() == np.array(freqs).tobytes()
+def test_chirp_bode_matches_bode_digital(coeffs, spec):
+    points = chirp_bode(coeffs, spec)
+    freqs = np.array([p.freq_hz for p in points])
+    assert freqs.size >= 2 and np.all(np.diff(freqs) > 0.0)
+    fmin, fmax = spec.omega_min / (2.0 * math.pi), spec.omega_max / (2.0 * math.pi)
+    assert fmin < freqs[0] and freqs[-1] < fmax
     got = np.array([
         10.0 ** (p.magnitude_db / 20.0) * cmath.exp(1j * math.radians(p.phase_deg))
         for p in points
     ])
-    assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want).max())
+    want = np.array([
+        10.0 ** (p.magnitude_db / 20.0) * cmath.exp(1j * math.radians(p.phase_deg))
+        for p in bode_digital(coeffs, freqs)
+    ])
+    assert np.all(np.abs(got - want) <= CHIRP_RTOL * np.abs(want).max())
+
+
+def fit_quadrature_windows(sin_ref, cos_ref, u, edges):
+    # The multi-window least-squares fit, the reference that the one-window
+    # analysis._fit_quadrature must match bit for bit at edges [0].
+    terms = np.stack([sin_ref * sin_ref, cos_ref * cos_ref, sin_ref * cos_ref,
+                      u * sin_ref, u * cos_ref])
+    sss, scc, ssc, us, uc = np.add.reduceat(terms, edges, axis=1)[:, ::2]
+    det = sss * scc - ssc * ssc
+    if np.any(det <= 0.0):
+        raise ValueError("degenerate demodulation window")
+    fit = np.empty(det.shape, dtype=complex)
+    fit.real = (scc * us - ssc * uc) / det
+    fit.imag = (sss * uc - ssc * us) / det
+    return fit
+
+
+@settings(deadline=None, max_examples=25)
+@given(stable_designs, st.lists(
+    st.floats(0.1, STEPPED_SINE_MAX_FREQ_FRACTION * RATE, exclude_max=True),
+    min_size=1, max_size=4,
+))
+def test_stepped_fit_is_the_multi_window_fit_bitwise(coeffs, grid):
+    got = stepped_sine_bode(coeffs, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_fit_quadrature",
+                   lambda s, c, u: fit_quadrature_windows(s, c, u, [0])[0])
+        want = stepped_sine_bode(coeffs, grid)
+    assert point_bits(got) == point_bits(want)
 
 
 # ------------------------------------------------------- runtime tick
@@ -524,17 +527,15 @@ response_grids = st.lists(
 @given(stable_transfer_functions(), response_grids, chirp_measurements())
 @example(  # a transmission zero at 50 Hz: -inf dB in memory, the floor in files
     catalog.notch(2.0 * math.pi * 50.0, 5.0), [10.0, 50.0, 200.0],
-    (ChirpSpec("exponential", 2.0 * math.pi * 0.5, 2.0 * math.pi * 400.0, 2.0, 1.0, RATE),
-     4.0, 1.0),
+    ChirpSpec("exponential", 2.0 * math.pi * 0.5, 2.0 * math.pi * 400.0, 2.0, 1.0, RATE),
 )
-def test_curves_and_files_are_the_dataclass_route_bitwise(tf, grid, measurement):
+def test_curves_and_files_are_the_dataclass_route_bitwise(tf, grid, spec):
     coeffs = tustin_horner(tf, RATE)
-    spec, window_cycles, hop_cycles = measurement
     curves = {
         "continuous": lambda: bode_continuous(tf, grid),
         "digital": lambda: bode_digital(coeffs, grid),
         "stepped": lambda: stepped_sine_bode(coeffs, grid[:3]),
-        "chirp": lambda: chirp_bode(coeffs, spec, window_cycles, hop_cycles),
+        "chirp": lambda: chirp_bode(coeffs, spec),
     }
     for name, make in curves.items():
         got = curve_or_error(make)
