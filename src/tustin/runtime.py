@@ -2,8 +2,10 @@
 
 Each tick computes y[0] = b_hat . y_prev + a_hat . x_hist, shifts the new
 input and output into their histories and returns y[0].  Histories are
-fixed-length deques ordered most-recent-first: a shift register in which
-appending the newest value drops the oldest, so a tick is O(order).
+tuples ordered most-recent-first: a shift register in which the newest
+value goes in front and the oldest drops off.  The sum and the shift are
+straight-line code, compiled once per filter order, so a tick is O(order)
+with no loop.
 
 On the very first tick both histories are filled with the first input
 before the normal update runs.  For a unity-DC filter that starts the
@@ -27,9 +29,9 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
+from collections.abc import Callable
 from functools import lru_cache
-from itertools import repeat, takewhile
+from itertools import takewhile
 
 from .discretize import UNIT_CIRCLE_MARGIN, DigitalFilterCoefficients, pole_radii
 from .signals import TimeSeries
@@ -74,10 +76,11 @@ class DigitalFilter:
     """Mutable filter state over an immutable coefficient set.
 
     Single-owner: one thread ticks a filter at a time.  Share the
-    coefficients freely, not the filter.
+    coefficients freely, not the filter; a copy, deep copy or unpickled
+    filter has state of its own.
     """
 
-    __slots__ = ("_coeffs", "use_startup_heuristic", "first_tick", "_x", "_y")
+    __slots__ = ("_coeffs", "use_startup_heuristic", "first_tick", "_x", "_y", "_step")
 
     def __init__(
         self,
@@ -86,9 +89,16 @@ class DigitalFilter:
     ) -> None:
         self._coeffs = coeffs
         self.use_startup_heuristic = bool(use_startup_heuristic)
-        self._x = deque(maxlen=len(coeffs.a_hat))
-        self._y = deque(maxlen=len(coeffs.b_hat))
+        self._step = _bind_step(coeffs)
         self.reset()
+
+    def __getstate__(self) -> tuple:
+        # The step is a closure, which pickle cannot carry; it is rebuilt.
+        return self._coeffs, self.use_startup_heuristic, self.first_tick, self._x, self._y
+
+    def __setstate__(self, state: tuple) -> None:
+        self._coeffs, self.use_startup_heuristic, self.first_tick, self._x, self._y = state
+        self._step = _bind_step(self._coeffs)
 
     @property
     def coeffs(self) -> DigitalFilterCoefficients:
@@ -98,17 +108,18 @@ class DigitalFilter:
     @property
     def x_hist(self) -> tuple[float, ...]:
         """Input history, most recent first."""
-        return tuple(self._x)
+        return self._x
 
     @property
     def y_hist(self) -> tuple[float, ...]:
         """Output history, most recent first (empty for order 0)."""
-        return tuple(self._y)
+        return self._y
 
     def reset(self) -> None:
         """Zero the histories and re-arm the startup heuristic."""
-        self._x.extend(repeat(0.0, self._x.maxlen))
-        self._y.extend(repeat(0.0, self._y.maxlen))
+        n = self._coeffs.order
+        self._x = (0.0,) * (n + 1)
+        self._y = (0.0,) * n
         self.first_tick = True
 
     def tick(self, x0: float) -> float:
@@ -118,23 +129,66 @@ class DigitalFilter:
             raise ValueError(f"filter input must be finite, got {x0!r}")
         if -_MIN_NORMAL < x0 < _MIN_NORMAL:
             x0 = 0.0
-        x = self._x
-        y = self._y
         if self.first_tick:
             self.first_tick = False
             if self.use_startup_heuristic:
-                x.extend(repeat(x0, x.maxlen))
-                y.extend(repeat(x0, y.maxlen))
-        x.appendleft(x0)
-        # Plain left-to-right accumulation: process() and the tests pin
-        # this summation order bitwise, which sum() or a dot would change.
-        acc = 0.0
-        for ak, xk in zip(self._coeffs.a_hat, x):
-            acc += ak * xk
-        for bk, yk in zip(self._coeffs.b_hat, y):
-            acc += bk * yk
-        y.appendleft(acc)
-        return acc
+                self._x = (x0,) * len(self._x)
+                self._y = (x0,) * len(self._y)
+        y0, self._x, self._y = self._step(x0, self._x, self._y)
+        return y0
+
+
+# Products per statement of a generated step: one sum of some thousands of
+# terms nests too deep for the compiler.
+_TERMS_PER_STATEMENT = 64
+
+
+def _bind_step(coeffs: DigitalFilterCoefficients) -> Callable:
+    """The step of _step_maker for this design's order and coefficients."""
+    return _step_maker(coeffs.order)(coeffs.a_hat, coeffs.b_hat)
+
+
+@lru_cache(maxsize=64)
+def _step_maker(n: int) -> Callable:
+    """make(a_hat, b_hat) -> step(x0, x, y) -> (y0, x', y') for order n.
+
+    The step is the difference equation written out: y0 = 0.0 + a0*x0 + ...
+    + an*xn + b1*y1 + ... + bn*yn, summed left to right as a loop over the
+    coefficients would, so every output equals that loop's bitwise (process
+    and the tests pin this order, which sum() or a dot would change); x'
+    and y' are the histories x and y shifted by one, x0 and y0 in front.
+    It is generated because, unrolled with coefficients and histories in
+    local variables, a sample costs no loop and no indexing.  The source
+    depends on n alone: make binds the coefficients as closure cells, never
+    as text, so one compile per order serves every design of that order.
+    """
+    xs = [f"x{k}" for k in range(n + 1)]
+    ys = [f"y{k}" for k in range(1, n + 1)]
+    a = [f"a{k}" for k in range(n + 1)]
+    b = [f"b{k}" for k in range(1, n + 1)]
+    terms = [f"{c} * {v}" for c, v in zip(a + b, xs + ys)]
+    sums = [
+        " + ".join(["0.0" if i == 0 else "acc"] + terms[i:i + _TERMS_PER_STATEMENT])
+        for i in range(0, len(terms), _TERMS_PER_STATEMENT)
+    ]
+
+    def tup(names: list[str]) -> str:
+        return "(" + "".join(f"{v}, " for v in names) + ")"
+
+    lines = [
+        "def make(a, b):",
+        f"    {tup(a)} = a",
+        f"    {tup(b)} = b",
+        "    def step(x0, x, y):",
+        f"        {tup(xs[1:] + ['_'])} = x",
+        f"        {tup(ys)} = y",
+        *(f"        acc = {s}" for s in sums),
+        f"        return acc, {tup(xs)}, {tup((['acc'] + ys)[:n])}",
+        "    return step",
+    ]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<tustin step, order {n}>", "exec"), namespace)
+    return namespace["make"]
 
 
 def _check_rate(coeffs: DigitalFilterCoefficients, series: TimeSeries) -> None:

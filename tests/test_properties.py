@@ -44,7 +44,7 @@ from tustin.csvio import read_csv, write_csv
 from tustin.discretize import DigitalFilterCoefficients, normalize, pole_radii
 from tustin.polynomial import Polynomial
 from tustin.runtime import BLOCK_LEN, SLICE_BLOCKS, DigitalFilter, filter_series, process
-from tustin.tfparse import canonical_text, parse_expression
+from tustin.tfparse import MAX_EXPONENT, canonical_text, parse_expression
 from tustin.signals import (
     ChirpSpec,
     TimeSeries,
@@ -358,8 +358,27 @@ def filter_runs(draw):
     return DigitalFilterCoefficients(a, b, 1000.0), xs, heuristic, reset_at
 
 
+def high_order_run(order, heuristic):
+    # A run like filter_runs' at an order it does not draw.
+    rng = np.random.default_rng(order)
+    bound = 0.99 / order
+    coeffs = DigitalFilterCoefficients(
+        rng.uniform(-10.0, 10.0, order + 1), rng.uniform(-bound, bound, order), 1000.0)
+    xs = rng.uniform(-1e3, 1e3, 200).tolist()
+    xs[50:54] = [1e-310, -5e-324, sys.float_info.min, -0.0]
+    return coeffs, xs, heuristic, 120
+
+
+# The parser's largest power of s, a design only the fold runs, and one
+# whose sum has too many terms for a single expression to compile.
 @settings(deadline=None)
 @given(filter_runs())
+@example(high_order_run(MAX_EXPONENT, True))
+@example(high_order_run(MAX_EXPONENT, False))
+@example(high_order_run(BLOCK_LEN + 1, True))
+@example(high_order_run(BLOCK_LEN + 1, False))
+@example(high_order_run(4096, True))
+@example(high_order_run(4096, False))
 def test_tick_and_process_are_the_difference_equation_bitwise(run):
     coeffs, xs, heuristic, reset_at = run
     f = DigitalFilter(coeffs, heuristic)

@@ -1,7 +1,9 @@
 """Difference-equation runtime: tick semantics, startup, state hygiene, and
 the block kernel against the fold of ticks."""
 
+import copy
 import math
+import pickle
 import random
 import sys
 
@@ -134,6 +136,25 @@ def test_reset_rearms_heuristic_and_zeroes_state():
     assert f.y_hist == (0.0,)
     assert [f.tick(v) for v in seq] == first
 
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f)),
+], ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("ticked", [0, 3])
+def test_a_clone_continues_bitwise_and_leaves_the_original_alone(clone, ticked):
+    seq = [5.0, 8.0, -2.0, 0.5, 7.25, -3.0]
+    ref = DigitalFilter(BUTTER)
+    want = [ref.tick(v) for v in seq]
+    f = DigitalFilter(BUTTER)
+    for v in seq[:ticked]:
+        f.tick(v)
+    g = clone(f)
+    assert g.coeffs == f.coeffs
+    # The clone runs ahead first: any state it shares would move f.
+    assert [g.tick(v) for v in seq[ticked:]] == want[ticked:]
+    assert [f.tick(v) for v in seq[ticked:]] == want[ticked:]
+    assert (g.x_hist, g.y_hist) == (f.x_hist, f.y_hist) == (ref.x_hist, ref.y_hist)
 
 def test_process_checks_rate():
     series = generate_sine(10.0, 1.0, 0.0, 0.1, 999.0)
