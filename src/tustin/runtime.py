@@ -1,11 +1,11 @@
 """Fixed-rate execution of a designed difference equation.
 
 Each tick computes y[0] = b_hat . y_prev + a_hat . x_hist, shifts the new
-input and output into their histories and returns y[0].  Histories are
-tuples ordered most-recent-first: a shift register in which the newest
-value goes in front and the oldest drops off.  The sum and the shift are
-straight-line code, compiled once per filter order, so a tick is O(order)
-with no loop.
+input and output into their histories and returns y[0].  A filter's tick
+is a closure generated once per filter order: its coefficients and both
+histories, most recent first, are cells of that closure, and the shift
+moves each value one cell along.  The whole tick, checks included, is one
+frame of straight-line code, O(order) with no loop and no tuple built.
 
 On the very first tick both histories are filled with the first input
 before the normal update runs.  For a unity-DC filter that starts the
@@ -75,30 +75,35 @@ class RateMismatchError(ValueError):
 class DigitalFilter:
     """Mutable filter state over an immutable coefficient set.
 
+    ``f.tick(x0)`` advances one sample period: it takes input x0 and
+    returns output y0.  It is a function of this filter's own, so a loop
+    may hold ``tick = f.tick``; reset() leaves it valid.
+
     Single-owner: one thread ticks a filter at a time.  Share the
     coefficients freely, not the filter; a copy, deep copy or unpickled
     filter has state of its own.
     """
 
-    __slots__ = ("_coeffs", "use_startup_heuristic", "first_tick", "_x", "_y", "_step")
+    __slots__ = ("_coeffs", "tick", "_get", "_set", "__weakref__")
 
     def __init__(
         self,
         coeffs: DigitalFilterCoefficients,
         use_startup_heuristic: bool = True,
     ) -> None:
-        self._coeffs = coeffs
-        self.use_startup_heuristic = bool(use_startup_heuristic)
-        self._step = _bind_step(coeffs)
-        self.reset()
+        n = coeffs.order
+        self.__setstate__(
+            (coeffs, bool(use_startup_heuristic), True, (0.0,) * (n + 1), (0.0,) * n)
+        )
 
     def __getstate__(self) -> tuple:
-        # The step is a closure, which pickle cannot carry; it is rebuilt.
-        return self._coeffs, self.use_startup_heuristic, self.first_tick, self._x, self._y
+        # The closures cannot be pickled; their state is, and they are rebuilt.
+        return (self._coeffs, *self._get())
 
     def __setstate__(self, state: tuple) -> None:
-        self._coeffs, self.use_startup_heuristic, self.first_tick, self._x, self._y = state
-        self._step = _bind_step(self._coeffs)
+        self._coeffs = coeffs = state[0]
+        self.tick, self._get, self._set = _tick_maker(coeffs.order)(coeffs.a_hat, coeffs.b_hat)
+        self._set(*state[1:])
 
     @property
     def coeffs(self) -> DigitalFilterCoefficients:
@@ -106,88 +111,110 @@ class DigitalFilter:
         return self._coeffs
 
     @property
+    def use_startup_heuristic(self) -> bool:
+        """Whether the first tick fills both histories with its input."""
+        return self._get()[0]
+
+    @property
+    def first_tick(self) -> bool:
+        """True until the first tick after construction or reset()."""
+        return self._get()[1]
+
+    @property
     def x_hist(self) -> tuple[float, ...]:
         """Input history, most recent first."""
-        return self._x
+        return self._get()[2]
 
     @property
     def y_hist(self) -> tuple[float, ...]:
         """Output history, most recent first (empty for order 0)."""
-        return self._y
+        return self._get()[3]
 
     def reset(self) -> None:
         """Zero the histories and re-arm the startup heuristic."""
         n = self._coeffs.order
-        self._x = (0.0,) * (n + 1)
-        self._y = (0.0,) * n
-        self.first_tick = True
-
-    def tick(self, x0: float) -> float:
-        """Advance one sample period: take input x0, return output y0."""
-        x0 = float(x0)
-        if not math.isfinite(x0):
-            raise ValueError(f"filter input must be finite, got {x0!r}")
-        if -_MIN_NORMAL < x0 < _MIN_NORMAL:
-            x0 = 0.0
-        if self.first_tick:
-            self.first_tick = False
-            if self.use_startup_heuristic:
-                self._x = (x0,) * len(self._x)
-                self._y = (x0,) * len(self._y)
-        y0, self._x, self._y = self._step(x0, self._x, self._y)
-        return y0
+        self._set(self.use_startup_heuristic, True, (0.0,) * (n + 1), (0.0,) * n)
 
 
-# Products per statement of a generated step: one sum of some thousands of
+# Products per statement of a generated tick: one sum of some thousands of
 # terms nests too deep for the compiler.
 _TERMS_PER_STATEMENT = 64
 
 
-def _bind_step(coeffs: DigitalFilterCoefficients) -> Callable:
-    """The step of _step_maker for this design's order and coefficients."""
-    return _step_maker(coeffs.order)(coeffs.a_hat, coeffs.b_hat)
-
-
 @lru_cache(maxsize=64)
-def _step_maker(n: int) -> Callable:
-    """make(a_hat, b_hat) -> step(x0, x, y) -> (y0, x', y') for order n.
+def _tick_maker(n: int) -> Callable:
+    """make(a_hat, b_hat) -> (tick, get, set) for order n.
 
-    The step is the difference equation written out: y0 = 0.0 + a0*x0 + ...
-    + an*xn + b1*y1 + ... + bn*yn, summed left to right as a loop over the
-    coefficients would, so every output equals that loop's bitwise (process
-    and the tests pin this order, which sum() or a dot would change); x'
-    and y' are the histories x and y shifted by one, x0 and y0 in front.
-    It is generated because, unrolled with coefficients and histories in
-    local variables, a sample costs no loop and no indexing.  The source
-    depends on n alone: make binds the coefficients as closure cells, never
-    as text, so one compile per order serves every design of that order.
+    tick(x0) is DigitalFilter.tick: it converts, checks and flushes x0,
+    runs the startup heuristic on the first tick, and returns y0 = 0.0 +
+    a0*x0 + ... + an*xn + b1*y1 + ... + bn*yn, summed left to right as a
+    loop over the coefficients would, so every output equals that loop's
+    bitwise (process and the tests pin this order, which sum() or a dot
+    would change).  The state lives in cells of the closure: the startup
+    flags, the input history x1..x(n+1) and the output history y1..yn, most
+    recent first, shifted one cell assignment at a time.  A tick is thus
+    one frame that builds no tuple.  get() returns (use_startup_heuristic,
+    first_tick, x_hist, y_hist) and set() takes them back.
+
+    It is generated because, unrolled, a sample costs no loop and no
+    indexing.  The source depends on n alone: make binds the coefficients
+    as closure cells, never as text, so one compile per order serves every
+    design of that order.  No closure refers to the filter that holds it.
     """
-    xs = [f"x{k}" for k in range(n + 1)]
+    xs = [f"x{k}" for k in range(1, n + 2)]
     ys = [f"y{k}" for k in range(1, n + 1)]
     a = [f"a{k}" for k in range(n + 1)]
     b = [f"b{k}" for k in range(1, n + 1)]
-    terms = [f"{c} * {v}" for c, v in zip(a + b, xs + ys)]
+    terms = [f"{c} * {v}" for c, v in zip(a + b, ["x0"] + xs[:n] + ys)]
     sums = [
         " + ".join(["0.0" if i == 0 else "acc"] + terms[i:i + _TERMS_PER_STATEMENT])
         for i in range(0, len(terms), _TERMS_PER_STATEMENT)
     ]
+    cells = ["heuristic", "first"] + xs + ys
+    # Oldest first, so each cell is read before it is overwritten.
+    shift = [f"{new} = {old}" for new, old in zip(xs[::-1], xs[-2::-1] + ["x0"])]
+    shift += [f"{new} = {old}" for new, old in zip(ys[::-1], ys[-2::-1] + ["acc"])]
 
     def tup(names: list[str]) -> str:
         return "(" + "".join(f"{v}, " for v in names) + ")"
 
+    # The coefficients are cells of make and the state cells of state():
+    # CPython's compile time grows with the square of one function's cell
+    # count, and the two halves compile order 4096 in 1.6 s against 2.5 s
+    # for one function (2-CPU x86_64).
     lines = [
         "def make(a, b):",
         f"    {tup(a)} = a",
         f"    {tup(b)} = b",
-        "    def step(x0, x, y):",
-        f"        {tup(xs[1:] + ['_'])} = x",
-        f"        {tup(ys)} = y",
-        *(f"        acc = {s}" for s in sums),
-        f"        return acc, {tup(xs)}, {tup((['acc'] + ys)[:n])}",
-        "    return step",
+        "    def state():",
+        f"        {' = '.join(cells)} = None",
+        "        def tick(x0):",
+        '            "Advance one sample period: take input x0, return output y0."',
+        f"            nonlocal {', '.join(cells[1:])}",
+        "            x0 = float(x0)",
+        "            if not isfinite(x0):",
+        "                raise ValueError(f'filter input must be finite, got {x0!r}')",
+        "            if -MIN_NORMAL < x0 < MIN_NORMAL:",
+        "                x0 = 0.0",
+        "            if first:",
+        "                first = False",
+        "                if heuristic:",
+        f"                    {' = '.join(xs + ys)} = x0",
+        *(f"            acc = {s}" for s in sums),
+        *(f"            {s}" for s in shift),
+        "            return acc",
+        "        def get():",
+        f"            return heuristic, first, {tup(xs)}, {tup(ys)}",
+        "        def set(h, f, x, y):",
+        f"            nonlocal {', '.join(cells)}",
+        "            heuristic, first = h, f",
+        f"            {tup(xs)} = x",
+        f"            {tup(ys)} = y",
+        "        return tick, get, set",
+        "    return state()",
     ]
-    namespace: dict = {}
-    exec(compile("\n".join(lines), f"<tustin step, order {n}>", "exec"), namespace)
+    namespace = {"isfinite": math.isfinite, "MIN_NORMAL": _MIN_NORMAL}
+    exec(compile("\n".join(lines), f"<tustin tick, order {n}>", "exec"), namespace)
     return namespace["make"]
 
 

@@ -2,10 +2,12 @@
 the block kernel against the fold of ticks."""
 
 import copy
+import gc
 import math
 import pickle
 import random
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -156,6 +158,45 @@ def test_a_clone_continues_bitwise_and_leaves_the_original_alone(clone, ticked):
     assert [f.tick(v) for v in seq[ticked:]] == want[ticked:]
     assert (g.x_hist, g.y_hist) == (f.x_hist, f.y_hist) == (ref.x_hist, ref.y_hist)
 
+
+def test_filters_of_one_order_keep_state_of_their_own():
+    notch = tustin_horner(catalog.notch(2.0 * math.pi * 50.0, 5.0), 1000.0)
+    assert notch.order == BUTTER.order
+    rng = random.Random(35)
+    seq = [rng.uniform(-3.0, 3.0) for _ in range(300)]
+    solo = [list(map(DigitalFilter(c).tick, seq)) for c in (BUTTER, notch)]
+    f, g = DigitalFilter(BUTTER), DigitalFilter(notch)
+    # Held across reset(), as a control loop holds it.
+    f_tick, g_tick = f.tick, g.tick
+    for _ in range(2):
+        got = [(f_tick(v), g_tick(v)) for v in seq]
+        assert [p for p, _ in got] == solo[0]
+        assert [q for _, q in got] == solo[1]
+        before = [(h.x_hist, h.y_hist) for h in (f, g)]
+        with pytest.raises(ValueError, match="filter input must be finite, got nan"):
+            f_tick(float("nan"))
+        assert [(h.x_hist, h.y_hist) for h in (f, g)] == before
+        f.reset()
+        g.reset()
+
+
+@pytest.mark.parametrize("clone", [
+    lambda f: f, copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f)),
+], ids=["ticked", "copy", "deepcopy", "pickle"])
+def test_a_dropped_filter_is_freed_without_the_cycle_collector(clone):
+    f = DigitalFilter(BUTTER)
+    f.tick(1.0)
+    gc.disable()
+    try:
+        g = clone(f)
+        g.tick(2.0)
+        ref = weakref.ref(g)
+        del f, g
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_process_checks_rate():
     series = generate_sine(10.0, 1.0, 0.0, 0.1, 999.0)
     with pytest.raises(RateMismatchError):
@@ -235,13 +276,21 @@ def test_process_names_the_first_non_finite_output(coeffs, index, radius):
 
 def test_process_stops_ticking_at_the_first_non_finite_output(monkeypatch):
     calls = []
-    tick = DigitalFilter.tick
 
-    def counting_tick(self, x0):
-        calls.append(x0)
-        return tick(self, x0)
+    class CountingFilter(DigitalFilter):
+        """Counts every tick of the filters that process builds."""
 
-    monkeypatch.setattr(DigitalFilter, "tick", counting_tick)
+        def __init__(self, *args):
+            super().__init__(*args)
+            tick = self.tick
+
+            def counting_tick(x0):
+                calls.append(x0)
+                return tick(x0)
+
+            self.tick = counting_tick
+
+    monkeypatch.setattr(runtime, "DigitalFilter", CountingFilter)
     coeffs = DigitalFilterCoefficients((1.0, 0.0), (1.5,), 1000.0)
     with pytest.raises(ValueError, match="from sample 1691 on"):
         process(coeffs, TimeSeries(1000.0, np.full(5000, 1e10)))
