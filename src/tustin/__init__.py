@@ -15,6 +15,7 @@ from .analysis import (
     DisjointRangesError,
     FrequencyResponsePoint,
     ResponseComparison,
+    ResponseCurve,
     analytic_response_continuous,
     analytic_response_digital,
     bode_continuous,
@@ -68,6 +69,7 @@ __all__ = [
     "Polynomial",
     "RateMismatchError",
     "ResponseComparison",
+    "ResponseCurve",
     "TfSyntaxError",
     "TimeSeries",
     "analytic_response_continuous",

@@ -19,18 +19,21 @@ Because the design applies no prewarping, the digital response at angular
 frequency w equals the continuous response at 2*f_l*tan(w*dt/2); curves are
 expected to diverge near the Nyquist frequency and agree well below it.
 
-Measured and analytic curves are exchanged as lists of
-:class:`FrequencyResponsePoint`, a NamedTuple ``(freq_hz, magnitude_db,
-phase_deg)``, and serialize to/from a three-column CSV with the same
-columns.  A curve crosses to its N x 3 array in one pass over its fields
-and back in one tuple construction per row.  Magnitudes at exact transmission
-zeros are -inf in memory and clamp to -300 dB in files.
+Measured and analytic curves are exchanged as :class:`ResponseCurve`, a
+read-only sequence of :class:`FrequencyResponsePoint` (a NamedTuple
+``(freq_hz, magnitude_db, phase_deg)``) kept as its N x 3 float64 table in
+those columns, and serialize to/from a three-column CSV with the same
+columns.  The evaluators, the CSV writer and the comparison work on the
+table; a point is built only when it is read.  Magnitudes at exact
+transmission zeros are -inf in memory and clamp to -300 dB in files.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
+from collections import abc
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence, TextIO
@@ -93,6 +96,65 @@ class FrequencyResponsePoint(NamedTuple):
     phase_deg: float
 
 
+class ResponseCurve(abc.Sequence):
+    """A response curve: a read-only sequence of FrequencyResponsePoint.
+
+    ``table`` is the curve, an N x 3 float64 array of ``freq_hz``,
+    ``magnitude_db`` and ``phase_deg`` with its write flag cleared; the
+    constructor copies any N x 3 table into one and refuses other shapes.
+    Indexing and iteration build points of Python floats, bitwise the
+    table's, only when they are read; a slice is a curve.  Two curves are
+    equal when their tables are (nan unequal, -0.0 equal to 0.0, as for
+    lists of floats); a curve and another sequence compare as lists.  Like
+    a list it is unhashable, and ``np.array(curve)`` is a writable copy of
+    the table.  ``list(curve)`` is the list of its points.
+    """
+
+    __slots__ = ("table",)
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, table: Sequence[Sequence[float]] | np.ndarray) -> None:
+        t = np.array(table, dtype=np.float64)
+        if t.ndim != 2 or t.shape[1] != 3:
+            raise ValueError(f"a response curve is an N x 3 table, got shape {t.shape}")
+        t.flags.writeable = False
+        self.table = t
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ResponseCurve(self.table[i])
+        return tuple.__new__(FrequencyResponsePoint, self.table[operator.index(i)].tolist())
+
+    def __iter__(self):
+        # Column lists zipped into rows: a third cheaper than one list per row.
+        # tuple.__new__ is the C constructor, which FrequencyResponsePoint._make
+        # wraps in Python code (3.10-3.12).
+        return map(tuple.__new__, repeat(FrequencyResponsePoint), zip(*self.table.T.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ResponseCurve):
+            return self.table.shape == other.table.shape and bool(np.all(self.table == other.table))
+        if isinstance(other, abc.Sequence) and not isinstance(other, (str, bytes)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # numpy >= 2 passes copy; the table itself is never handed out.
+        if copy is False:
+            raise ValueError("a curve's array is a copy of its read-only table; read .table instead")
+        return np.array(self.table, dtype=dtype)
+
+    def __reduce__(self):
+        # Through the constructor, so an unpickled table is read-only too.
+        return ResponseCurve, (self.table,)
+
+    def __repr__(self) -> str:
+        return f"ResponseCurve({self.table!r})"
+
+
 @dataclass(frozen=True)
 class ResponseComparison:
     """Absolute deviations between two curves on their common grid."""
@@ -106,6 +168,8 @@ class ResponseComparison:
 
 def _checked_omegas(omega: Sequence[float]) -> np.ndarray:
     w = np.asarray(omega)
+    if w.ndim != 1:
+        raise ValueError(f"frequency grid must be one-dimensional, got shape {w.shape}")
     bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
     if bad.size:
         raise ValueError(
@@ -173,33 +237,27 @@ def analytic_response_digital(
     return complex(_digital(coeffs, [omega])[0])
 
 
-def _to_points(
-    freqs_hz: Sequence[float], response: Sequence[complex]
-) -> list[FrequencyResponsePoint]:
+def _to_points(freqs_hz: Sequence[float], response: Sequence[complex]) -> ResponseCurve:
     h = np.asarray(response, dtype=complex)
     with np.errstate(divide="ignore"):
         mag_db = 20.0 * np.log10(np.abs(h))
     phase_deg = np.degrees(np.unwrap(np.angle(h)))
-    return _points(np.column_stack([np.asarray(freqs_hz, dtype=float), mag_db, phase_deg]))
-
-
-def _points(table: np.ndarray) -> list[FrequencyResponsePoint]:
-    # An N x 3 table as a curve.  tuple.__new__ is the C constructor, which
-    # FrequencyResponsePoint._make wraps in Python code (3.10-3.12); each
-    # row is three floats already.
-    return list(map(tuple.__new__, repeat(FrequencyResponsePoint), table.tolist()))
+    return ResponseCurve(np.column_stack([np.asarray(freqs_hz, dtype=float), mag_db, phase_deg]))
 
 
 def _table(points: Iterable[FrequencyResponsePoint]) -> np.ndarray:
-    # A curve as its N x 3 table, also for N = 0.  np.array would look up
-    # the array protocols on every point (a tuple subclass); one pass over
-    # the run of fields takes about a sixth of that time.
+    # A curve's own table, or any other iterable of points as its N x 3
+    # table, also for N = 0.  np.array would look up the array protocols on
+    # every point (a tuple subclass); one pass over the run of fields takes
+    # about a sixth of that time.
+    if isinstance(points, ResponseCurve):
+        return points.table
     return np.fromiter(chain.from_iterable(points), float).reshape(-1, 3)
 
 
 def bode_continuous(
     tf: ContinuousTransferFunction, freqs_hz: Sequence[float]
-) -> list[FrequencyResponsePoint]:
+) -> ResponseCurve:
     """Analytic continuous response over a frequency grid (Hz)."""
     omega = 2.0 * math.pi * np.asarray(freqs_hz, dtype=float)
     return _to_points(freqs_hz, _continuous(tf, omega))
@@ -207,7 +265,7 @@ def bode_continuous(
 
 def bode_digital(
     coeffs: DigitalFilterCoefficients, freqs_hz: Sequence[float]
-) -> list[FrequencyResponsePoint]:
+) -> ResponseCurve:
     """Analytic digital response over a frequency grid (Hz)."""
     omega = 2.0 * math.pi * np.asarray(freqs_hz, dtype=float)
     return _to_points(freqs_hz, _digital(coeffs, omega))
@@ -257,7 +315,7 @@ def stepped_sine_bode(
     freq_grid_hz: Sequence[float],
     settle_cycles: int | None = None,
     measure_cycles: int = 5,
-) -> list[FrequencyResponsePoint]:
+) -> ResponseCurve:
     """Measure the response one frequency at a time with unit sines.
 
     Parameters
@@ -279,9 +337,10 @@ def stepped_sine_bode(
 
     Returns
     -------
-    list of FrequencyResponsePoint
-        Magnitude 20*log10 sqrt(p**2 + q**2) and phase atan2(q, p) of the
-        fit y ~ p sin + q cos, phase unwrapped along the grid.
+    ResponseCurve
+        One point per grid frequency, in grid order: magnitude
+        20*log10 sqrt(p**2 + q**2) and phase atan2(q, p) of the fit
+        y ~ p sin + q cos, phase unwrapped along the grid.
     """
     if settle_cycles is not None and settle_cycles < 5:
         raise ValueError("settle_cycles must be at least 5")
@@ -314,7 +373,7 @@ def stepped_sine_bode(
     return _to_points(freqs, responses)
 
 
-def chirp_bode(coeffs: DigitalFilterCoefficients, spec: ChirpSpec) -> list[FrequencyResponsePoint]:
+def chirp_bode(coeffs: DigitalFilterCoefficients, spec: ChirpSpec) -> ResponseCurve:
     """Measure the response in one pass as the ratio of two spectra.
 
     The chirp x = A*sin_i (A = ``spec.amplitude``) is zero-padded to N
@@ -463,6 +522,6 @@ def write_bode_csv(points: Iterable[FrequencyResponsePoint], fh: TextIO) -> None
     write_csv(fh, BODE_CSV_HEADER, [f, np.maximum(mag, MAGNITUDE_DB_FLOOR), ph])
 
 
-def read_bode_csv(fh: TextIO) -> list[FrequencyResponsePoint]:
+def read_bode_csv(fh: TextIO) -> ResponseCurve:
     """Read a response curve written by write_bode_csv."""
-    return _points(read_csv(fh, BODE_CSV_HEADER))
+    return ResponseCurve(read_csv(fh, BODE_CSV_HEADER))

@@ -1,8 +1,11 @@
 """Frequency-response analysis: analytic curves, both measurement routes,
 comparison, and the CSV contract."""
 
+import copy
 import io
 import math
+import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from tustin.analysis import (
     DenominatorZeroError,
     DisjointRangesError,
     FrequencyResponsePoint,
+    ResponseCurve,
     analytic_response_continuous,
     analytic_response_digital,
     bode_continuous,
@@ -113,6 +117,18 @@ def test_nyquist_refusals_name_the_first_omega_at_or_above_the_limit():
     )
 
 
+@pytest.mark.parametrize("grid, shape", [([[1.0, 2.0]], (1, 2)), (5.0, ())],
+                         ids=["two-dimensional", "scalar"])
+def test_a_grid_that_is_not_one_dimensional_is_refused_naming_its_shape(grid, shape):
+    for evaluate in (lambda: bode_continuous(catalog.lowpass1(1.0), grid),
+                     lambda: bode_digital(BUTTER, grid)):
+        with pytest.raises(ValueError) as info:
+            evaluate()
+        assert str(info.value) == (
+            f"frequency grid must be one-dimensional, got shape {shape}"
+        )
+
+
 def random_stable_design(seed):
     # Orders 1-12: real poles and damped pairs at corners 0.5-400 Hz, and
     # up to as many real zeros as poles.
@@ -178,6 +194,68 @@ def test_a_point_is_a_named_tuple_of_its_three_fields():
     table = np.array(pts)
     assert table.shape == (2, 3)
     assert table.tolist() == [[p.freq_hz, p.magnitude_db, p.phase_deg] for p in pts]
+
+
+def test_a_curve_indexes_slices_and_unpacks_as_its_list_of_points():
+    curve = bode_digital(BUTTER, [1.0, 10.0, 100.0])
+    points = list(curve)
+    assert len(curve) == 3
+    assert curve[0] == points[0] and curve[-1] == points[2] and curve[-3] == points[0]
+    with pytest.raises(IndexError):
+        curve[3]
+    with pytest.raises(IndexError):
+        curve[-4]
+    tail = curve[1:]
+    assert type(tail) is ResponseCurve and list(tail) == points[1:]
+    assert list(curve[::-1]) == points[::-1]
+    (only,) = curve[1:2]
+    assert only == points[1]
+    # every field a Python float, bitwise the table's
+    assert all(type(v) is float for p in curve for v in p)
+    assert [struct.pack("<3d", *p) for p in curve] == [row.tobytes() for row in curve.table]
+    assert [struct.pack("<3d", *curve[i]) for i in range(3)] == [row.tobytes() for row in curve.table]
+
+
+def test_curves_equal_as_tables_and_as_lists_of_points():
+    nan = math.nan
+    curve = ResponseCurve([[1.0, -0.0, 5.0], [2.0, 3.0, 4.0]])
+    same = ResponseCurve([[1.0, 0.0, 5.0], [2.0, 3.0, 4.0]])
+    points = [FrequencyResponsePoint(1.0, 0.0, 5.0), FrequencyResponsePoint(2.0, 3.0, 4.0)]
+    assert curve == same and same == curve and not curve != same
+    assert curve == points and points == curve and not curve != points and not points != curve
+    assert curve != points[:1] and points[:1] != curve
+    assert curve != same[:1] and curve != ResponseCurve(np.empty((0, 3)))
+    assert ResponseCurve(np.empty((0, 3))) == []
+    with_nan = ResponseCurve([[1.0, nan, 5.0]])
+    assert with_nan != ResponseCurve([[1.0, nan, 5.0]])
+    assert with_nan != [FrequencyResponsePoint(1.0, nan, 5.0)]
+    assert [FrequencyResponsePoint(1.0, nan, 5.0)] != with_nan
+    with pytest.raises(TypeError):
+        hash(curve)
+
+
+def test_a_curve_is_read_only_and_its_array_is_a_writable_copy():
+    curve = bode_digital(BUTTER, [1.0, 10.0])
+    before = curve.table.copy()
+    with pytest.raises(ValueError):
+        curve.table[0, 0] = 5.0
+    table = np.array(curve)
+    assert table.flags.writeable and not np.shares_memory(table, curve.table)
+    table[0, 0] = 5.0
+    assert curve.table.tobytes() == before.tobytes()
+    for back in (pickle.loads(pickle.dumps(curve)), copy.deepcopy(curve), copy.copy(curve)):
+        assert type(back) is ResponseCurve and back == curve
+        assert back.table.tobytes() == before.tobytes()
+        with pytest.raises(ValueError):
+            back.table[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("table", [np.zeros((1, 6)), np.zeros(6), np.zeros((2, 3, 1)), []],
+                         ids=["1x6", "flat", "3-d", "empty list"])
+def test_a_curve_is_built_only_from_an_n_by_3_table(table):
+    with pytest.raises(ValueError) as info:
+        ResponseCurve(table)
+    assert str(info.value) == f"a response curve is an N x 3 table, got shape {np.shape(table)}"
 
 
 def test_a_transmission_zero_is_minus_inf_in_memory_and_the_floor_in_files():

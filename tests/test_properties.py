@@ -570,6 +570,13 @@ def test_curves_and_files_are_the_dataclass_route_bitwise(tf, grid, spec):
         write_bode_csv(got, got_file)
         dataclass_write_bode_csv(want, want_file)
         assert got_file.getvalue() == want_file.getvalue(), name
+        # a curve's table and a list of its points are one file and one comparison
+        listed_file = io.StringIO()
+        write_bode_csv(list(got), listed_file)
+        assert listed_file.getvalue() == got_file.getvalue(), name
+        if len(got):
+            assert curve_or_error(lambda: compare_responses(got, got)) == curve_or_error(
+                lambda: compare_responses(list(got), list(got))), name
         back = read_bode_csv(io.StringIO(got_file.getvalue()))
         want_back = dataclass_read_bode_csv(io.StringIO(want_file.getvalue()))
         assert point_bits(back) == point_bits(want_back), name
