@@ -13,7 +13,9 @@ The measured views know their input exactly.  Stepped sine fits only the
 filter output, by least squares against the probe sine itself.  The chirp
 divides the DFT of the filter output by that of the sweep, both zero-padded
 past the design's impulse-response tail, so the ratio is the response at
-each bin up to that tail and rounding.
+each bin up to that tail and rounding.  Both follow one settle rule: a pole
+at z = 1 (pid's integrator) is divided out, and what is left must settle
+within SETTLE_MAX_SAMPLES // 2 samples, or the design is refused.
 
 Because the design applies no prewarping, the digital response at angular
 frequency w equals the continuous response at 2*f_l*tan(w*dt/2); curves are
@@ -34,7 +36,7 @@ import math
 import operator
 import sys
 from collections import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
@@ -57,18 +59,20 @@ MAGNITUDE_DB_FLOOR = -300.0
 # it the per-cycle sample count is too small for a trustworthy fit.
 STEPPED_SINE_MAX_FREQ_FRACTION = 0.45
 
-# A stepped-sine probe settles, by default, until the impulse response's
-# tail sum_{j>=k} |h_j| is at most this fraction of sum |h|: a unit sine
-# started from rest is then that close to its steady state at every
-# measured sample.  chirp_bode zero-pads its sweep by the same tail.
+# A stepped-sine probe settles until the impulse response's tail
+# sum_{j>=k} |h_j| is at most this fraction of sum |h|: a unit sine started
+# from rest is then that close to its steady state at every measured
+# sample.  chirp_bode zero-pads its sweep by the same tail.
 SETTLE_TAIL_RTOL = 1e-12
 
-# The longest impulse response run to find that tail, in samples.  A design
-# whose tail outlasts half of it (a pole within about 5e-5 of the unit
-# circle), or whose poles reach the unit circle, settles for a fixed
-# FALLBACK_SETTLE_CYCLES input cycles instead; chirp_bode refuses it.
+# The longest impulse response run to find that tail, in samples.  Both
+# measured methods refuse a design whose tail outlasts half of it (a pole
+# within about 5e-5 of the unit circle), or whose poles reach the unit
+# circle other than at a simple pole at z = 1.
 SETTLE_MAX_SAMPLES = 2**20
-FALLBACK_SETTLE_CYCLES = 20
+
+# Input cycles a stepped-sine probe fits after it has settled.
+MEASURE_CYCLES = 5
 
 # chirp_bode reports the DFT bins nearest a log grid of this many points
 # over the sweep band, the default grid size of the other methods.
@@ -166,10 +170,15 @@ class ResponseComparison:
     mean_abs_phase_deg: float
 
 
+def _one_dimensional(grid: Sequence[float]) -> np.ndarray:
+    g = np.asarray(grid)
+    if g.ndim != 1:
+        raise ValueError(f"frequency grid must be one-dimensional, got shape {g.shape}")
+    return g
+
+
 def _checked_omegas(omega: Sequence[float]) -> np.ndarray:
-    w = np.asarray(omega)
-    if w.ndim != 1:
-        raise ValueError(f"frequency grid must be one-dimensional, got shape {w.shape}")
+    w = _one_dimensional(omega)
     bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
     if bad.size:
         raise ValueError(
@@ -310,11 +319,35 @@ def _settle_samples(coeffs: DigitalFilterCoefficients) -> int | None:
     return None
 
 
+def _settle(coeffs: DigitalFilterCoefficients, method: str) -> tuple[bool, int]:
+    """Whether the design has a pole at z = 1, and the samples it settles in.
+
+    A pole at z = 1, such as pid's integrator, leaves a tail that never
+    decays.  It counts when the z-pole nearest 1 lies within
+    UNIT_CIRCLE_MARGIN of it, and is then divided out: the settle length is
+    :func:`_settle_samples` of what is left.  Where there is none, the
+    ValueError names ``method`` and the largest pole radius left.
+    """
+    # D(z) = z^n - b_hat[0] z^(n-1) - ...: with a pole at z = 1, the
+    # running sums of its coefficients are those of D(z) / (z - 1).  A
+    # trailing zero b_hat, a pole at z = 0, keeps a_hat's length valid for
+    # that quotient.
+    den = [1.0, *(-b for b in coeffs.b_hat)]
+    integrator = bool(np.abs(np.roots(den) - 1.0).min(initial=np.inf) <= UNIT_CIRCLE_MARGIN)
+    if integrator:
+        coeffs = replace(coeffs, b_hat=(*-np.cumsum(den)[1:-1], 0.0))
+    settle = _settle_samples(coeffs)
+    if settle is None:
+        raise ValueError(
+            f"{method} needs every z-pole but one at z = 1 to settle within "
+            f"{SETTLE_MAX_SAMPLES // 2} samples; the largest radius is "
+            f"{max(pole_radii(coeffs))!r}"
+        )
+    return integrator, settle
+
+
 def stepped_sine_bode(
-    coeffs: DigitalFilterCoefficients,
-    freq_grid_hz: Sequence[float],
-    settle_cycles: int | None = None,
-    measure_cycles: int = 5,
+    coeffs: DigitalFilterCoefficients, freq_grid_hz: Sequence[float]
 ) -> ResponseCurve:
     """Measure the response one frequency at a time with unit sines.
 
@@ -323,17 +356,19 @@ def stepped_sine_bode(
     coeffs : DigitalFilterCoefficients
         The filter under test; runs at its design rate.
     freq_grid_hz : sequence of float
-        Probe frequencies, each below STEPPED_SINE_MAX_FREQ_FRACTION of the
-        loop rate.
-    settle_cycles : int, optional
-        Input cycles discarded before measuring (>= 5); lets the filter
-        transient die off.  By default every probe settles for the design's
-        own memory instead: the samples after which its impulse-response
-        tail is at most SETTLE_TAIL_RTOL of its total, or
-        FALLBACK_SETTLE_CYCLES cycles where that cannot be found (see
-        SETTLE_MAX_SAMPLES).
-    measure_cycles : int
-        Input cycles fitted with least squares (>= 2).
+        Probe frequencies, a one-dimensional grid, each below
+        STEPPED_SINE_MAX_FREQ_FRACTION of the loop rate.
+
+    Every probe settles for the design's own memory, the samples after
+    which its impulse-response tail is at most SETTLE_TAIL_RTOL of its
+    total, and then fits MEASURE_CYCLES input cycles.  A pole at z = 1 is
+    divided out of that memory, and the probe, its cosine reference and
+    the output are differenced before the fit: (1 - z^-1) cancels the pole
+    and the constant it adds, and leaves the fitted response unchanged.  A
+    design with any other pole on or within UNIT_CIRCLE_MARGIN of the unit
+    circle, or a tail that outlasts half of SETTLE_MAX_SAMPLES, is refused
+    with ValueError naming the largest pole radius, as by
+    :func:`chirp_bode`.
 
     Returns
     -------
@@ -342,12 +377,8 @@ def stepped_sine_bode(
         20*log10 sqrt(p**2 + q**2) and phase atan2(q, p) of the fit
         y ~ p sin + q cos, phase unwrapped along the grid.
     """
-    if settle_cycles is not None and settle_cycles < 5:
-        raise ValueError("settle_cycles must be at least 5")
-    if measure_cycles < 2:
-        raise ValueError("measure_cycles must be at least 2")
     rate = coeffs.loop_rate_hz
-    freqs = [float(f) for f in freq_grid_hz]
+    freqs = [float(f) for f in _one_dimensional(freq_grid_hz)]
     if not freqs:
         raise ValueError("frequency grid is empty")
     for f in freqs:
@@ -356,20 +387,20 @@ def stepped_sine_bode(
                 f"grid frequency {f} Hz outside (0, "
                 f"{STEPPED_SINE_MAX_FREQ_FRACTION} * loop rate)"
             )
-    settle = None
-    if settle_cycles is None:
-        settle = _settle_samples(coeffs)
-        settle_cycles = FALLBACK_SETTLE_CYCLES
+    integrator, settle = _settle(coeffs, "stepped_sine_bode")
     responses = []
     for f in freqs:
-        cycles = settle_cycles if settle is None else settle * f / rate
-        duration = (cycles + measure_cycles) / f
+        cycles = settle * f / rate
+        duration = (cycles + MEASURE_CYCLES) / f
         series = generate_sine(f, 1.0, 0.0, duration, rate)
         out = filter_series(coeffs, series)
         i0 = int(round(cycles / f * rate))
         # A unit sine with no offset is its own sine reference.
         cos_ref = np.cos(2.0 * math.pi * f * series.times[i0:])
-        responses.append(_fit_quadrature(series.samples[i0:], cos_ref, out.samples[i0:]))
+        fit = [series.samples[i0:], cos_ref, out.samples[i0:]]
+        if integrator:
+            fit = [np.diff(u) for u in fit]
+        responses.append(_fit_quadrature(*fit))
     return _to_points(freqs, responses)
 
 
@@ -391,7 +422,8 @@ def chirp_bode(coeffs: DigitalFilterCoefficients, spec: ChirpSpec) -> ResponseCu
     differenced output's DFT.  The tail is that of the design with the
     pole divided out.  Any other pole on or within
     UNIT_CIRCLE_MARGIN of the unit circle, or a tail that outlasts half
-    of SETTLE_MAX_SAMPLES, is refused, naming the largest pole radius.
+    of SETTLE_MAX_SAMPLES, is refused, naming the largest pole radius;
+    :func:`stepped_sine_bode` settles and refuses by the same rule.
 
     The sweep must cover at least two decades, end below the Nyquist
     frequency (AboveNyquistError otherwise), have an amplitude of at
@@ -409,22 +441,7 @@ def chirp_bode(coeffs: DigitalFilterCoefficients, spec: ChirpSpec) -> ResponseCu
             f"chirp amplitude must be at least {sys.float_info.min!r} in magnitude "
             f"(the filter flushes smaller inputs to zero), got {spec.amplitude!r}"
         )
-    # D(z) = z^n - b_hat[0] z^(n-1) - ...: D(1), the sum of its
-    # coefficients, vanishes with a pole at z = 1, and their running sums
-    # are then those of D(z) / (z - 1).  A trailing zero b_hat, a pole at
-    # z = 0, keeps a_hat's length valid for that quotient.
-    rest = np.cumsum([1.0, *(-b for b in coeffs.b_hat)])
-    integrator = abs(rest[-1]) <= UNIT_CIRCLE_MARGIN * (1.0 + sum(map(abs, coeffs.b_hat)))
-    settled = DigitalFilterCoefficients(
-        coeffs.a_hat, (*-rest[1:-1], 0.0), coeffs.loop_rate_hz
-    ) if integrator else coeffs
-    tail = _settle_samples(settled)
-    if tail is None:
-        raise ValueError(
-            f"chirp_bode needs every z-pole but one at z = 1 to settle within "
-            f"{SETTLE_MAX_SAMPLES // 2} samples; the largest radius is "
-            f"{max(pole_radii(settled))!r}"
-        )
+    integrator, tail = _settle(coeffs, "chirp_bode")
     x = generate_chirp(spec).samples
     n = 1 << (len(x) + tail - 1).bit_length()
     x = np.pad(x, (0, n - len(x)))

@@ -70,7 +70,7 @@ _GRID = ("fmin_hz", "fmax_hz", "points")
 BODE_METHODS = {
     "analytic-continuous": ("tf", "num", "den", *_GRID),
     "analytic-digital": ("coeffs", *_GRID),
-    "stepped": ("coeffs", *_GRID, "settle_cycles", "measure_cycles"),
+    "stepped": ("coeffs", *_GRID),
     "chirp": ("coeffs", "kind", "fmin_hz", "fmax_hz", "duration", "amplitude"),
 }
 
@@ -343,10 +343,7 @@ def cmd_bode(args: argparse.Namespace) -> int:
         if method == "analytic-digital":
             points = bode_digital(coeffs, _frequency_grid(args, rate))
         elif method == "stepped":
-            # The --*-cycles flags go to analysis only when given, so its
-            # defaults hold.
-            tuning = {name: v for name, v in vars(args).items() if name.endswith("_cycles")}
-            points = stepped_sine_bode(coeffs, _frequency_grid(args, rate), **tuning)
+            points = stepped_sine_bode(coeffs, _frequency_grid(args, rate))
         else:
             points = chirp_bode(coeffs, _chirp_spec(args, rate))
     with _out_stream(args.out) as fh:
@@ -449,10 +446,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fmax-hz", type=float)
     p.add_argument("--points", type=int,
                    help="log-spaced grid size (analytic/stepped methods)")
-    p.add_argument("--settle-cycles", type=int,
-                   help="input cycles settled per stepped probe (>= 5; default: "
-                        "derived from the design's impulse response)")
-    p.add_argument("--measure-cycles", type=int)
     p.add_argument("--kind", choices=CHIRP_KINDS, help="sweep law (chirp method)")
     p.add_argument("--duration", type=float, help="sweep length, s (chirp method)")
     p.add_argument("--amplitude", type=float)

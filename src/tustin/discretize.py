@@ -272,10 +272,9 @@ def pole_radii(coeffs: DigitalFilterCoefficients) -> tuple[float, ...]:
     b_hat entries are poles at z = 0, and the rest fill the first row.  A
     radius above 1 means the difference equation is unstable at this rate.
     Not only advisory: ``runtime.filter_series`` refuses the block
-    realization, ``analysis.stepped_sine_bode`` settles for a fixed
-    number of cycles, and ``analysis.chirp_bode`` refuses the design unless
-    that pole is one at z = 1, when the largest radius reaches the unit
-    circle.
+    realization, and ``analysis.stepped_sine_bode`` and
+    ``analysis.chirp_bode`` refuse the design unless that pole is one at
+    z = 1, when the largest radius reaches the unit circle.
     """
     b = coeffs.b_hat
     m = max((i + 1 for i, v in enumerate(b) if v), default=0)

@@ -13,7 +13,6 @@ import pytest
 from tustin import analysis, catalog
 from tustin.analysis import (
     BODE_CSV_HEADER,
-    FALLBACK_SETTLE_CYCLES,
     MAGNITUDE_DB_FLOOR,
     SETTLE_TAIL_RTOL,
     AboveNyquistError,
@@ -34,6 +33,7 @@ from tustin.analysis import (
 from tustin.discretize import (
     ContinuousTransferFunction,
     DigitalFilterCoefficients,
+    pole_radii,
     tustin_horner,
 )
 from tustin.runtime import RateMismatchError, process
@@ -121,7 +121,8 @@ def test_nyquist_refusals_name_the_first_omega_at_or_above_the_limit():
                          ids=["two-dimensional", "scalar"])
 def test_a_grid_that_is_not_one_dimensional_is_refused_naming_its_shape(grid, shape):
     for evaluate in (lambda: bode_continuous(catalog.lowpass1(1.0), grid),
-                     lambda: bode_digital(BUTTER, grid)):
+                     lambda: bode_digital(BUTTER, grid),
+                     lambda: stepped_sine_bode(BUTTER, grid)):
         with pytest.raises(ValueError) as info:
             evaluate()
         assert str(info.value) == (
@@ -309,21 +310,12 @@ def test_stepped_notch_depth():
     assert pts[2].magnitude_db > -1.0
 
 
-def test_stepped_more_cycles_does_not_drift():
-    short = stepped_sine_bode(BUTTER, [10.0], settle_cycles=5, measure_cycles=2)
-    long = stepped_sine_bode(BUTTER, [10.0], settle_cycles=40, measure_cycles=10)
-    truth = bode_digital(BUTTER, [10.0])[0]
-    err_short = abs(short[0].magnitude_db - truth.magnitude_db)
-    err_long = abs(long[0].magnitude_db - truth.magnitude_db)
-    assert err_long <= err_short + 1e-6
-
-
 DEFAULT_GRID = np.logspace(-1.0, 2.0, 40)
 
 
 @pytest.mark.parametrize("tf, grid, max_db", [
     (catalog.butterworth2(TWO_PI * 12.3), DEFAULT_GRID, 1e-9),
-    # pole radius 0.999686: 86,124 samples of settle, 20 cycles are 4,000
+    # pole radius 0.999686: 86,124 samples of settle
     (catalog.notch(TWO_PI * 5.0, 50.0), np.linspace(4.9, 5.2, 31), 1e-6),
     # a repeated pole, whose tail outlasts r**k
     (ContinuousTransferFunction.from_descending([1.0], np.poly([-6.0] * 4).tolist()),
@@ -344,28 +336,79 @@ def test_settle_length_is_where_the_impulse_tail_falls_below_tolerance():
     assert h[k:].sum() <= SETTLE_TAIL_RTOL * h.sum() < h[k - 1:].sum()
 
 
-def test_stepped_falls_back_to_fixed_cycles_without_a_settle_length(monkeypatch):
-    # pid's integrator sits on the unit circle: no impulse tail to measure
-    pid = tustin_horner(catalog.pid(1.0, 2.0, 0.1, 200.0), RATE)
-    assert analysis._settle_samples(pid) is None
-    freqs = [0.5, 5.0, 50.0]
-    fixed = stepped_sine_bode(pid, freqs, settle_cycles=FALLBACK_SETTLE_CYCLES)
-    assert stepped_sine_bode(pid, freqs) == fixed
-    # a tail that outlasts half the longest impulse run
+REPEATED_POLE = ContinuousTransferFunction.from_descending(
+    [1296.0], np.poly([-6.0] * 4).tolist()
+)
+
+
+def butterworth4(corner_hz):
+    w = TWO_PI * corner_hz
+    poles = w * np.exp(1j * math.pi * np.arange(5, 12, 2) / 8.0)
+    return ContinuousTransferFunction.from_descending([w**4], np.poly(poles).real.tolist())
+
+
+@pytest.mark.parametrize("tf, rate, integrator", [
+    # D(1) = 1 - sum(b_hat) is near zero, but no pole is near z = 1
+    (REPEATED_POLE, RATE, False),
+    (butterworth4(1.0), RATE, False),
+    (catalog.pid(1.0, 3.0, 0.5, 300.0), 100.0, True),
+    (catalog.pid(1.0, 3.0, 0.5, 300.0), RATE, True),
+    (catalog.pid(1.0, 3.0, 0.5, 300.0), 1e5, True),
+    # the integrator 8.1e-12 from z = 1, the farthest of all pids checked
+    (catalog.pid(2.0, 0.01, 0.0, 1.0), 1e5, True),
+], ids=["repeated-pole", "butter4-1hz", "pid-100hz", "pid-1khz", "pid-100khz", "pid-slow-100khz"])
+def test_a_pole_at_z_1_is_found_by_the_pole_itself(tf, rate, integrator):
+    coeffs = tustin_horner(tf, rate)
+    found, settle = analysis._settle(coeffs, "test")
+    assert found is integrator
+    if integrator:
+        # on the unit circle, so only the quotient has a tail to measure
+        assert analysis._settle_samples(coeffs) is None
+    else:
+        # the sum of the denominator's coefficients alone cannot tell
+        assert abs(1.0 - sum(coeffs.b_hat)) < 2e-9
+        assert settle == analysis._settle_samples(coeffs)
+
+
+# A pole at z = -1 never settles, 1.5 is unstable, and of a double pole at
+# z = 1 one is divided out.
+UNSETTLED_POLES = [((-1.0,), 1.0), ((1.5,), 1.5), ((2.0, -1.0), 1.0)]
+
+
+@pytest.mark.parametrize("b_hat, radius", UNSETTLED_POLES)
+def test_stepped_refuses_a_pole_on_or_outside_the_unit_circle(b_hat, radius):
+    coeffs = DigitalFilterCoefficients((1.0,) + (0.0,) * len(b_hat), b_hat, RATE)
+    with pytest.raises(ValueError, match=f"^stepped_sine_bode needs .* radius is {radius!r}$"):
+        stepped_sine_bode(coeffs, [1.0, 10.0])
+
+
+def test_stepped_and_chirp_refuse_a_tail_that_outlasts_half_the_longest_run(monkeypatch):
     notch = tustin_horner(catalog.notch(TWO_PI * 5.0, 50.0), RATE)
     monkeypatch.setattr(analysis, "SETTLE_MAX_SAMPLES", 4096)
     assert analysis._settle_samples(notch) is None
-    fixed = stepped_sine_bode(notch, freqs, settle_cycles=FALLBACK_SETTLE_CYCLES)
-    assert stepped_sine_bode(notch, freqs) == fixed
+    ending = f"within 2048 samples; the largest radius is {max(pole_radii(notch))!r}$"
+    with pytest.raises(ValueError, match="^stepped_sine_bode needs .* " + ending):
+        stepped_sine_bode(notch, [0.5, 5.0, 50.0])
+    with pytest.raises(ValueError, match="^chirp_bode needs .* " + ending):
+        chirp_bode(notch, chirp(duration=10.0))
+
+
+@pytest.mark.parametrize("tf", [
+    catalog.pid(1.0, 3.0, 0.5, 300.0),
+    catalog.pid(1.0, 2.0, 0.1, 200.0),
+], ids=["pid-1-3-0.5-300", "pid-1-2-0.1-200"])
+def test_stepped_pid_matches_analytic_digital_on_the_default_grid(tf):
+    # The integrator is differenced out of probe, reference and output.
+    coeffs = tustin_horner(tf, RATE)
+    grid = np.logspace(-1.0, 2.0, 200)
+    got, want = stepped_sine_bode(coeffs, grid).table, bode_digital(coeffs, grid).table
+    assert np.abs(got[:, 1] - want[:, 1]).max() <= 1e-8
+    assert np.abs(got[:, 2] - want[:, 2]).max() <= 1e-7
 
 
 def test_stepped_validation():
     with pytest.raises(ValueError):
         stepped_sine_bode(BUTTER, [])
-    with pytest.raises(ValueError):
-        stepped_sine_bode(BUTTER, [10.0], settle_cycles=4)
-    with pytest.raises(ValueError):
-        stepped_sine_bode(BUTTER, [10.0], measure_cycles=1)
     with pytest.raises(ValueError):
         stepped_sine_bode(BUTTER, [0.45 * RATE])  # at the grid ceiling
     with pytest.raises(ValueError):
@@ -483,11 +526,7 @@ def test_chirp_refuses_a_window_or_hop_it_cannot_use(name, value):
         chirp_bode(LOWPASS, chirp(duration=10.0), **{name: value})
 
 
-@pytest.mark.parametrize("b_hat, radius", [
-    ((-1.0,), 1.0),  # a pole at z = -1 never settles
-    ((1.5,), 1.5),  # unstable
-    ((2.0, -1.0), 1.0),  # a double pole at z = 1: one is divided out
-])
+@pytest.mark.parametrize("b_hat, radius", UNSETTLED_POLES)
 def test_chirp_refuses_a_pole_on_or_outside_the_unit_circle(b_hat, radius):
     coeffs = DigitalFilterCoefficients((1.0,) + (0.0,) * len(b_hat), b_hat, RATE)
     with pytest.raises(ValueError, match=f"the largest radius is {radius!r}$"):

@@ -1,6 +1,5 @@
 """End-to-end CLI tests driven through main() with real files."""
 
-import io
 import json
 import math
 import re
@@ -9,7 +8,6 @@ import numpy as np
 import pytest
 
 from tustin import catalog
-from tustin.analysis import stepped_sine_bode, write_bode_csv
 from tustin.cli import first_irregular_sample, main, read_coeff_file, write_coeff_file
 from tustin.discretize import DigitalFilterCoefficients, pole_radii, tustin_horner
 from tustin.signals import MAX_SAMPLES
@@ -505,21 +503,14 @@ def test_bode_analytic_digital_and_stepped_agree(capsys, tmp_path, butter_file):
         assert p1 == pytest.approx(p2, abs=0.1)
 
 
-def test_bode_stepped_settle_cycles_keeps_its_meaning(capsys, tmp_path, butter_file):
-    common = ["bode", "--method", "stepped", "--coeffs", str(butter_file),
-              "--fmin-hz", "1", "--fmax-hz", "50", "--points", "5"]
-    code, _, err = run(capsys, *common, "--settle-cycles", "4")
-    assert code == 1
-    assert err == "error[INVALID]: settle_cycles must be at least 5\n"
-    out = tmp_path / "s20.csv"
-    assert run(capsys, *common, "--settle-cycles", "20", "--out", str(out))[0] == 0
-    coeffs, _ = read_coeff_file(butter_file)
-    want = io.StringIO()
-    write_bode_csv(
-        stepped_sine_bode(coeffs, np.logspace(0.0, math.log10(50.0), 5), settle_cycles=20),
-        want,
+@pytest.mark.parametrize("flag, value", [("--settle-cycles", "20"), ("--measure-cycles", "3")])
+def test_bode_stepped_tuning_flags_are_gone(capsys, butter_file, flag, value):
+    # Every probe settles for the design's own memory and fits 5 cycles.
+    code, _, err = run(
+        capsys, "bode", "--method", "stepped", "--coeffs", str(butter_file),
+        "--fmin-hz", "1", "--fmax-hz", "50", "--points", "5", flag, value,
     )
-    assert out.read_text() == want.getvalue()
+    assert (code, err) == (2, f"error[ARGS]: unrecognized arguments: {flag} {value}\n")
 
 
 def test_bode_chirp_runs(capsys, tmp_path, butter_file):
@@ -851,7 +842,7 @@ FLAG_VALUES = {
     "--tf": "1/(s+1)", "--num": "1", "--den": "1,1", "--coeffs": "{coeffs}",
     "--cutoff-hz": "3", "--notch-hz": "3", "--q": "3", "--kp": "3", "--ki": "3",
     "--kd": "3", "--tau": "3", "--gain": "3", "--zero-hz": "3", "--pole-hz": "3",
-    "--points": "3", "--settle-cycles": "20", "--measure-cycles": "3", "--kind": "linear",
+    "--points": "3", "--kind": "linear",
     "--duration": "3", "--amplitude": "3",
 }
 
@@ -880,18 +871,18 @@ UNREAD = [
      "--tf --cutoff-hz --notch-hz --q --kp --ki --kd --tau --gain --zero-hz --pole-hz"),
     (["bode", "--method", "analytic-continuous", "--tf", "1/(s+1)"],
      "method 'analytic-continuous'",
-     "--coeffs --settle-cycles --measure-cycles --kind --duration --amplitude"),
+     "--coeffs --kind --duration --amplitude"),
     (["bode", "--method", "analytic-continuous", "--tf", "1/(s+1)"], "source --tf",
      "--num --den"),
     (["bode", "--method", "analytic-continuous", "--num", "1", "--den", "1,1"],
      "source --num/--den", "--tf"),
     (["bode", "--method", "analytic-digital", "--coeffs", "{coeffs}"],
      "method 'analytic-digital'",
-     "--tf --num --den --settle-cycles --measure-cycles --kind --duration --amplitude"),
+     "--tf --num --den --kind --duration --amplitude"),
     (["bode", "--method", "stepped", "--coeffs", "{coeffs}"], "method 'stepped'",
      "--tf --num --den --kind --duration --amplitude"),
     (["bode", "--method", "chirp", "--coeffs", "{coeffs}"], "method 'chirp'",
-     "--tf --num --den --points --settle-cycles --measure-cycles"),
+     "--tf --num --den --points"),
 ]
 
 
@@ -913,8 +904,7 @@ def test_every_flag_a_variant_does_not_read_exits_2(capsys, butter_file, argv, v
      "--points", "3"],
     ["analytic-digital", "--coeffs", "{coeffs}", "--fmin-hz", "1", "--fmax-hz", "10",
      "--points", "3"],
-    ["stepped", "--coeffs", "{coeffs}", "--fmin-hz", "1", "--fmax-hz", "10", "--points", "3",
-     "--settle-cycles", "20", "--measure-cycles", "3"],
+    ["stepped", "--coeffs", "{coeffs}", "--fmin-hz", "1", "--fmax-hz", "10", "--points", "3"],
     ["chirp", "--coeffs", "{coeffs}", "--fmin-hz", "1", "--fmax-hz", "100", "--kind", "linear",
      "--duration", "3", "--amplitude", "2"],
 ], ids=["continuous-tf", "continuous-num-den", "digital", "stepped", "chirp"])
@@ -931,11 +921,11 @@ def test_bode_takes_every_flag_its_method_reads(capsys, tmp_path, butter_file, a
     (["design", "multiorder", "--kp", "5", "--tau", "4", "--rate", "1000"],
      "family 'multiorder' does not take --kp"),
     (["bode", "--method", "analytic-digital", "--coeffs", "{coeffs}", "--kind", "linear",
-      "--settle-cycles", "40", "--duration", "3"],
+      "--amplitude", "40", "--duration", "3"],
      "method 'analytic-digital' does not take --kind"),
     (["bode", "--method", "analytic-digital", "--duration", "3", "--coeffs", "{coeffs}",
       "--kind", "linear"], "method 'analytic-digital' does not take --duration"),
-], ids=["design-tau-kp", "design-kp-tau", "bode-kind-settle-duration", "bode-duration-kind"])
+], ids=["design-tau-kp", "design-kp-tau", "bode-kind-amplitude-duration", "bode-duration-kind"])
 def test_the_first_unread_flag_on_the_command_line_is_named(capsys, butter_file, argv, first):
     code, _, err = run(capsys, *[a.format(coeffs=butter_file) for a in argv])
     assert code == 2
@@ -958,7 +948,7 @@ def test_coefficient_lists_need_both_flags(capsys, command):
     ("chirp", "--kind --fmin-hz --fmax-hz --duration --amplitude --rate --out"),
     ("filter", "--coeffs --input --no-heuristic --out"),
     ("bode", "--method --tf --num --den --coeffs --fmin-hz --fmax-hz --points "
-             "--settle-cycles --measure-cycles --kind --duration --amplitude --out"),
+             "--kind --duration --amplitude --out"),
     ("compare", "--max-db --max-deg"),
 ], ids=["design", "chirp", "filter", "bode", "compare"])
 def test_help_returns_0_and_lists_the_subcommands_flags(capsys, monkeypatch, command, flags):
