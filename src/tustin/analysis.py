@@ -13,9 +13,8 @@ The measured views know their input exactly.  Stepped sine fits only the
 filter output, by least squares against the probe sine itself.  The chirp
 divides the DFT of the filter output by that of the sweep, both zero-padded
 past the design's impulse-response tail, so the ratio is the response at
-each bin up to that tail and rounding.  Both follow one settle rule: a pole
-at z = 1 (pid's integrator) is divided out, and what is left must settle
-within SETTLE_MAX_SAMPLES // 2 samples, or the design is refused.
+each bin up to that tail and rounding.  Both settle by one rule,
+:func:`_settle`.
 
 Because the design applies no prewarping, the digital response at angular
 frequency w equals the continuous response at 2*f_l*tan(w*dt/2); curves are
@@ -36,14 +35,14 @@ import math
 import operator
 import sys
 from collections import abc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .discretize import (UNIT_CIRCLE_MARGIN, ContinuousTransferFunction,
-                         DigitalFilterCoefficients, pole_radii)
+                         DigitalFilterCoefficients, _split_pole_at_one, pole_radii)
 from .csvio import read_csv, write_csv
 from .runtime import filter_series
 # Not called here: perfbench's span tests expect the fold in this namespace.
@@ -67,8 +66,7 @@ SETTLE_TAIL_RTOL = 1e-12
 
 # The longest impulse response run to find that tail, in samples.  Both
 # measured methods refuse a design whose tail outlasts half of it (a pole
-# within about 5e-5 of the unit circle), or whose poles reach the unit
-# circle other than at a simple pole at z = 1.
+# within about 5e-5 of the unit circle).
 SETTLE_MAX_SAMPLES = 2**20
 
 # Input cycles a stepped-sine probe fits after it has settled.
@@ -295,55 +293,38 @@ def _fit_quadrature(sin_ref: np.ndarray, cos_ref: np.ndarray, u: np.ndarray) -> 
     return complex((scc * us - ssc * uc) / det, (sss * uc - ssc * us) / det)
 
 
-def _settle_samples(coeffs: DigitalFilterCoefficients) -> int | None:
-    """Samples until the impulse-response tail falls to SETTLE_TAIL_RTOL.
-
-    None where no such length is found: a pole on or outside the unit
-    circle, or a tail that outlasts half of SETTLE_MAX_SAMPLES.
-    """
-    if max(pole_radii(coeffs), default=0.0) >= 1.0 - UNIT_CIRCLE_MARGIN:
-        return None
-    n = 1024
-    while n <= SETTLE_MAX_SAMPLES:
-        impulse = np.zeros(n)
-        impulse[0] = 1.0
-        h = filter_series(
-            coeffs, TimeSeries(coeffs.loop_rate_hz, impulse), use_startup_heuristic=False
-        )
-        # tail[k] = sum_{j>=k} |h_j|, summed from the far end.
-        tail = np.cumsum(np.abs(h.samples[::-1]))[::-1]
-        limit = SETTLE_TAIL_RTOL * tail[0]
-        if tail[n // 2] <= limit:
-            return int(np.argmax(tail <= limit))
-        n *= 4
-    return None
-
-
 def _settle(coeffs: DigitalFilterCoefficients, method: str) -> tuple[bool, int]:
     """Whether the design has a pole at z = 1, and the samples it settles in.
 
     A pole at z = 1, such as pid's integrator, leaves a tail that never
-    decays.  It counts when the z-pole nearest 1 lies within
-    UNIT_CIRCLE_MARGIN of it, and is then divided out: the settle length is
-    :func:`_settle_samples` of what is left.  Where there is none, the
-    ValueError names ``method`` and the largest pole radius left.
+    decays, so it is divided out first (see
+    :func:`~tustin.discretize._split_pole_at_one`).  What is left settles
+    in k samples, the smallest k at which its impulse-response tail
+    sum_{j>=k} |h_j| is at most SETTLE_TAIL_RTOL of sum |h|.  The
+    ValueError, naming ``method`` and the largest pole radius left, gives
+    one of two reasons there is no k: a pole left on or within
+    UNIT_CIRCLE_MARGIN of the unit circle, or outside it; or a tail that
+    outlasts half of SETTLE_MAX_SAMPLES.
     """
-    # D(z) = z^n - b_hat[0] z^(n-1) - ...: with a pole at z = 1, the
-    # running sums of its coefficients are those of D(z) / (z - 1).  A
-    # trailing zero b_hat, a pole at z = 0, keeps a_hat's length valid for
-    # that quotient.
-    den = [1.0, *(-b for b in coeffs.b_hat)]
-    integrator = bool(np.abs(np.roots(den) - 1.0).min(initial=np.inf) <= UNIT_CIRCLE_MARGIN)
-    if integrator:
-        coeffs = replace(coeffs, b_hat=(*-np.cumsum(den)[1:-1], 0.0))
-    settle = _settle_samples(coeffs)
-    if settle is None:
-        raise ValueError(
-            f"{method} needs every z-pole but one at z = 1 to settle within "
-            f"{SETTLE_MAX_SAMPLES // 2} samples; the largest radius is "
-            f"{max(pole_radii(coeffs))!r}"
-        )
-    return integrator, settle
+    coeffs, integrator = _split_pole_at_one(coeffs)
+    radius = max(pole_radii(coeffs), default=0.0)
+    if radius >= 1.0 - UNIT_CIRCLE_MARGIN:
+        reason = "a z-pole other than one at z = 1 lies on or outside the unit circle"
+    else:
+        reason = f"the impulse response outlasts {SETTLE_MAX_SAMPLES // 2} samples"
+        n = 1024
+        while n <= SETTLE_MAX_SAMPLES:
+            impulse = np.zeros(n)
+            impulse[0] = 1.0
+            h = filter_series(coeffs, TimeSeries(coeffs.loop_rate_hz, impulse),
+                              use_startup_heuristic=False)
+            # tail[k] = sum_{j>=k} |h_j|, summed from the far end.
+            tail = np.cumsum(np.abs(h.samples[::-1]))[::-1]
+            limit = SETTLE_TAIL_RTOL * tail[0]
+            if tail[n // 2] <= limit:
+                return integrator, int(np.argmax(tail <= limit))
+            n *= 4
+    raise ValueError(f"{method} bode: {reason}; the largest radius is {radius!r}")
 
 
 def stepped_sine_bode(
@@ -359,16 +340,12 @@ def stepped_sine_bode(
         Probe frequencies, a one-dimensional grid, each below
         STEPPED_SINE_MAX_FREQ_FRACTION of the loop rate.
 
-    Every probe settles for the design's own memory, the samples after
-    which its impulse-response tail is at most SETTLE_TAIL_RTOL of its
-    total, and then fits MEASURE_CYCLES input cycles.  A pole at z = 1 is
-    divided out of that memory, and the probe, its cosine reference and
-    the output are differenced before the fit: (1 - z^-1) cancels the pole
-    and the constant it adds, and leaves the fitted response unchanged.  A
-    design with any other pole on or within UNIT_CIRCLE_MARGIN of the unit
-    circle, or a tail that outlasts half of SETTLE_MAX_SAMPLES, is refused
-    with ValueError naming the largest pole radius, as by
-    :func:`chirp_bode`.
+    Every probe settles for the design's own memory, the samples
+    :func:`_settle` finds, and then fits MEASURE_CYCLES input cycles;
+    a design that cannot settle is refused there with ValueError.  With a
+    pole at z = 1 the probe, its cosine reference and the output are
+    differenced before the fit: (1 - z^-1) cancels the pole and the
+    constant it adds, and leaves the fitted response unchanged.
 
     Returns
     -------
@@ -387,7 +364,7 @@ def stepped_sine_bode(
                 f"grid frequency {f} Hz outside (0, "
                 f"{STEPPED_SINE_MAX_FREQ_FRACTION} * loop rate)"
             )
-    integrator, settle = _settle(coeffs, "stepped_sine_bode")
+    integrator, settle = _settle(coeffs, "stepped")
     responses = []
     for f in freqs:
         cycles = settle * f / rate
@@ -409,21 +386,17 @@ def chirp_bode(coeffs: DigitalFilterCoefficients, spec: ChirpSpec) -> ResponseCu
 
     The chirp x = A*sin_i (A = ``spec.amplitude``) is zero-padded to N
     samples, the next power of two at or above its length plus the
-    design's impulse-response tail (see SETTLE_TAIL_RTOL), and filtered
+    design's impulse-response tail (see :func:`_settle`), and filtered
     once from rest.  The input is known exactly and y = h * x, so the
     response is H = Y/X, the ratio of their DFTs, exact up to that tail
     and rounding.  It is reported at the distinct DFT bins nearest a
     CHIRP_POINTS-point log grid over the sweep band, keeping only bins
     strictly inside it; a sweep that leaves fewer than two is refused.
 
-    A pole at z = 1, such as pid's integrator, leaves a tail that never
-    decays.  For such a design output and input are differenced first:
-    (1 - z^-1) cancels that pole, and H = D/((1 - e^-jw) X), D the
-    differenced output's DFT.  The tail is that of the design with the
-    pole divided out.  Any other pole on or within
-    UNIT_CIRCLE_MARGIN of the unit circle, or a tail that outlasts half
-    of SETTLE_MAX_SAMPLES, is refused, naming the largest pole radius;
-    :func:`stepped_sine_bode` settles and refuses by the same rule.
+    A design that cannot settle is refused there with ValueError.  With a
+    pole at z = 1, such as pid's integrator, output and input are
+    differenced first: (1 - z^-1) cancels that pole, and
+    H = D/((1 - e^-jw) X), D the differenced output's DFT.
 
     The sweep must cover at least two decades, end below the Nyquist
     frequency (AboveNyquistError otherwise), have an amplitude of at
@@ -441,7 +414,7 @@ def chirp_bode(coeffs: DigitalFilterCoefficients, spec: ChirpSpec) -> ResponseCu
             f"chirp amplitude must be at least {sys.float_info.min!r} in magnitude "
             f"(the filter flushes smaller inputs to zero), got {spec.amplitude!r}"
         )
-    integrator, tail = _settle(coeffs, "chirp_bode")
+    integrator, tail = _settle(coeffs, "chirp")
     x = generate_chirp(spec).samples
     n = 1 << (len(x) + tail - 1).bit_length()
     x = np.pad(x, (0, n - len(x)))

@@ -235,8 +235,8 @@ def cmd_design(args: argparse.Namespace) -> int:
     print(f"b_hat = {_fmt_list5(coeffs.b_hat)}")
     radii = pole_radii(coeffs)
     print(f"z-pole radii: {_fmt_list5(radii)}")
-    # pid's integrator maps onto z = 1 and np.roots returns it a rounding
-    # error to either side, as filter_series allows for.
+    # pid's integrator maps onto z = 1 and the companion eigen-solve returns
+    # it a rounding error to either side, as filter_series allows for.
     if any(r > 1.0 + UNIT_CIRCLE_MARGIN for r in radii):
         print(
             "warning: a pole lies outside the unit circle; the difference "

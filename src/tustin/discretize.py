@@ -30,7 +30,7 @@ see :mod:`tustin.polynomial` for the storage convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -259,26 +259,48 @@ def tustin_direct(
 
 
 # A pole that the design maps exactly onto z = 1 (pid's integrator) comes
-# back from np.roots a rounding error to either side of it: every pole this
-# close to the unit circle counts as on it.
+# back from the companion eigen-solve a rounding error to either side of it:
+# every pole this close to the unit circle counts as on it.
 UNIT_CIRCLE_MARGIN = 1e-9
+
+
+def _poles(b_hat: tuple[float, ...]) -> np.ndarray:
+    # Roots of z**n - b_hat[0] z**(n-1) - ... - b_hat[n-1] but those at
+    # z = 0 that trailing zero b_hat entries put there: the eigenvalues of
+    # the companion matrix that numpy.roots builds, the rest of b_hat its
+    # first row, so these are numpy.roots' roots bit for bit.
+    m = max((i + 1 for i, v in enumerate(b_hat) if v), default=0)
+    companion = np.eye(m, k=-1)
+    companion[:1] = b_hat[:m]
+    return np.linalg.eigvals(companion) if m else np.zeros(0)
 
 
 def pole_radii(coeffs: DigitalFilterCoefficients) -> tuple[float, ...]:
     """Magnitudes of the z-domain poles, largest first.
 
-    Roots of z**n - b_hat[0] z**(n-1) - ... - b_hat[n-1], found as the
-    eigenvalues of the companion matrix that np.roots builds: trailing zero
-    b_hat entries are poles at z = 0, and the rest fill the first row.  A
-    radius above 1 means the difference equation is unstable at this rate.
-    Not only advisory: ``runtime.filter_series`` refuses the block
-    realization, and ``analysis.stepped_sine_bode`` and
-    ``analysis.chirp_bode`` refuse the design unless that pole is one at
-    z = 1, when the largest radius reaches the unit circle.
+    Roots of z**n - b_hat[0] z**(n-1) - ... - b_hat[n-1]; trailing zero
+    b_hat entries are poles at z = 0.  A radius above 1 means the
+    difference equation is unstable at this rate, and one within
+    UNIT_CIRCLE_MARGIN of 1 counts as on the unit circle.
     """
-    b = coeffs.b_hat
-    m = max((i + 1 for i, v in enumerate(b) if v), default=0)
-    companion = np.eye(m, k=-1)
-    companion[:1] = b[:m]
-    radii = np.abs(np.linalg.eigvals(companion)) if m else np.zeros(0)
-    return tuple(np.sort(radii)[::-1].tolist() + [0.0] * (len(b) - m))
+    radii = np.abs(_poles(coeffs.b_hat))
+    return tuple(np.sort(radii)[::-1].tolist() + [0.0] * (len(coeffs.b_hat) - len(radii)))
+
+
+def _split_pole_at_one(
+    coeffs: DigitalFilterCoefficients,
+) -> tuple[DigitalFilterCoefficients, bool]:
+    """coeffs with a pole at z = 1 divided out, and whether there was one.
+
+    A pole at z = 1, such as pid's integrator, counts when the z-pole
+    nearest 1 lies within UNIT_CIRCLE_MARGIN of it; the sum of the
+    denominator's coefficients alone cannot tell.  Without one, coeffs
+    come back as they are.
+    """
+    if not np.abs(_poles(coeffs.b_hat) - 1.0).min(initial=np.inf) <= UNIT_CIRCLE_MARGIN:
+        return coeffs, False
+    # D(z) = z^n - b_hat[0] z^(n-1) - ...: the running sums of its
+    # coefficients are those of D(z) / (z - 1).  A trailing zero b_hat, a
+    # pole at z = 0, keeps a_hat's length valid for that quotient.
+    den = [1.0, *(-b for b in coeffs.b_hat)]
+    return replace(coeffs, b_hat=(*-np.cumsum(den)[1:-1], 0.0)), True

@@ -31,8 +31,10 @@ from tustin.analysis import (
     write_bode_csv,
 )
 from tustin.discretize import (
+    UNIT_CIRCLE_MARGIN,
     ContinuousTransferFunction,
     DigitalFilterCoefficients,
+    _split_pole_at_one,
     pole_radii,
     tustin_horner,
 )
@@ -235,6 +237,18 @@ def test_curves_equal_as_tables_and_as_lists_of_points():
         hash(curve)
 
 
+@pytest.mark.parametrize("other", [None, 1.0, "abc", b"abc"], ids=["none", "float", "str", "bytes"])
+def test_a_curve_and_a_value_that_is_no_sequence_of_points_are_unequal(other):
+    curve = ResponseCurve([[1.0, 0.0, 5.0]])
+    assert curve.__eq__(other) is NotImplemented
+    assert curve != other and other != curve
+
+
+def test_a_curve_repr_shows_its_table():
+    curve = ResponseCurve([[1.0, -3.0, 5.0]])
+    assert repr(curve) == f"ResponseCurve({curve.table!r})"
+
+
 def test_a_curve_is_read_only_and_its_array_is_a_writable_copy():
     curve = bode_digital(BUTTER, [1.0, 10.0])
     before = curve.table.copy()
@@ -244,6 +258,10 @@ def test_a_curve_is_read_only_and_its_array_is_a_writable_copy():
     assert table.flags.writeable and not np.shares_memory(table, curve.table)
     table[0, 0] = 5.0
     assert curve.table.tobytes() == before.tobytes()
+    # numpy >= 2 asks for the table itself with copy=False; it is never
+    # handed out (called directly: numpy 1's np.array(..., copy=False) differs)
+    with pytest.raises(ValueError, match="read .table instead"):
+        curve.__array__(copy=False)
     for back in (pickle.loads(pickle.dumps(curve)), copy.deepcopy(curve), copy.copy(curve)):
         assert type(back) is ResponseCurve and back == curve
         assert back.table.tobytes() == before.tobytes()
@@ -327,13 +345,18 @@ def test_stepped_default_settle_matches_analytic_digital(tf, grid, max_db):
     assert max(abs(m.magnitude_db - t.magnitude_db) for m, t in pairs) <= max_db
 
 
-def test_settle_length_is_where_the_impulse_tail_falls_below_tolerance():
-    coeffs = tustin_horner(catalog.butterworth2(TWO_PI * 12.3), RATE)
-    k = analysis._settle_samples(coeffs)
+def assert_tail_falls_below_tolerance_at(coeffs, k):
     impulse = np.zeros(4 * k)
     impulse[0] = 1.0
-    h = np.abs(process(coeffs, TimeSeries(RATE, impulse), False).samples)
+    h = np.abs(process(coeffs, TimeSeries(coeffs.loop_rate_hz, impulse), False).samples)
     assert h[k:].sum() <= SETTLE_TAIL_RTOL * h.sum() < h[k - 1:].sum()
+
+
+def test_settle_length_is_where_the_impulse_tail_falls_below_tolerance():
+    coeffs = tustin_horner(catalog.butterworth2(TWO_PI * 12.3), RATE)
+    found, k = analysis._settle(coeffs, "test")
+    assert not found
+    assert_tail_falls_below_tolerance_at(coeffs, k)
 
 
 REPEATED_POLE = ContinuousTransferFunction.from_descending(
@@ -363,11 +386,14 @@ def test_a_pole_at_z_1_is_found_by_the_pole_itself(tf, rate, integrator):
     assert found is integrator
     if integrator:
         # on the unit circle, so only the quotient has a tail to measure
-        assert analysis._settle_samples(coeffs) is None
+        assert pole_radii(coeffs)[0] >= 1.0 - UNIT_CIRCLE_MARGIN
+        quotient, _ = _split_pole_at_one(coeffs)
+        assert analysis._settle(quotient, "test") == (False, settle)
+        assert_tail_falls_below_tolerance_at(quotient, settle)
     else:
         # the sum of the denominator's coefficients alone cannot tell
         assert abs(1.0 - sum(coeffs.b_hat)) < 2e-9
-        assert settle == analysis._settle_samples(coeffs)
+        assert_tail_falls_below_tolerance_at(coeffs, settle)
 
 
 # A pole at z = -1 never settles, 1.5 is unstable, and of a double pole at
@@ -375,22 +401,33 @@ def test_a_pole_at_z_1_is_found_by_the_pole_itself(tf, rate, integrator):
 UNSETTLED_POLES = [((-1.0,), 1.0), ((1.5,), 1.5), ((2.0, -1.0), 1.0)]
 
 
+def unit_circle_refusal(method, radius):
+    return (f"{method} bode: a z-pole other than one at z = 1 lies on or outside the "
+            f"unit circle; the largest radius is {radius!r}")
+
+
 @pytest.mark.parametrize("b_hat, radius", UNSETTLED_POLES)
 def test_stepped_refuses_a_pole_on_or_outside_the_unit_circle(b_hat, radius):
     coeffs = DigitalFilterCoefficients((1.0,) + (0.0,) * len(b_hat), b_hat, RATE)
-    with pytest.raises(ValueError, match=f"^stepped_sine_bode needs .* radius is {radius!r}$"):
+    with pytest.raises(ValueError) as info:
         stepped_sine_bode(coeffs, [1.0, 10.0])
+    assert str(info.value) == unit_circle_refusal("stepped", radius)
 
 
 def test_stepped_and_chirp_refuse_a_tail_that_outlasts_half_the_longest_run(monkeypatch):
+    # every pole inside the circle, but the tail is still above tolerance
+    # after the longest run
     notch = tustin_horner(catalog.notch(TWO_PI * 5.0, 50.0), RATE)
+    radius = max(pole_radii(notch))
+    assert radius < 1.0 - UNIT_CIRCLE_MARGIN
     monkeypatch.setattr(analysis, "SETTLE_MAX_SAMPLES", 4096)
-    assert analysis._settle_samples(notch) is None
-    ending = f"within 2048 samples; the largest radius is {max(pole_radii(notch))!r}$"
-    with pytest.raises(ValueError, match="^stepped_sine_bode needs .* " + ending):
+    ending = f"the impulse response outlasts 2048 samples; the largest radius is {radius!r}"
+    with pytest.raises(ValueError) as info:
         stepped_sine_bode(notch, [0.5, 5.0, 50.0])
-    with pytest.raises(ValueError, match="^chirp_bode needs .* " + ending):
+    assert str(info.value) == "stepped bode: " + ending
+    with pytest.raises(ValueError) as info:
         chirp_bode(notch, chirp(duration=10.0))
+    assert str(info.value) == "chirp bode: " + ending
 
 
 @pytest.mark.parametrize("tf", [
@@ -404,6 +441,15 @@ def test_stepped_pid_matches_analytic_digital_on_the_default_grid(tf):
     got, want = stepped_sine_bode(coeffs, grid).table, bode_digital(coeffs, grid).table
     assert np.abs(got[:, 1] - want[:, 1]).max() <= 1e-8
     assert np.abs(got[:, 2] - want[:, 2]).max() <= 1e-7
+
+
+@pytest.mark.parametrize("scale", [1.0, -2.0, 0.0])
+def test_a_fit_against_collinear_references_is_refused(scale):
+    # a cosine reference that is a multiple of the sine leaves the normal
+    # equations singular: no quadrature split exists
+    ref = np.sin(np.linspace(0.0, 3.0, 50))
+    with pytest.raises(ValueError, match="^degenerate stepped-sine fit$"):
+        analysis._fit_quadrature(ref, scale * ref, np.cos(np.linspace(0.0, 3.0, 50)))
 
 
 def test_stepped_validation():
@@ -529,8 +575,9 @@ def test_chirp_refuses_a_window_or_hop_it_cannot_use(name, value):
 @pytest.mark.parametrize("b_hat, radius", UNSETTLED_POLES)
 def test_chirp_refuses_a_pole_on_or_outside_the_unit_circle(b_hat, radius):
     coeffs = DigitalFilterCoefficients((1.0,) + (0.0,) * len(b_hat), b_hat, RATE)
-    with pytest.raises(ValueError, match=f"the largest radius is {radius!r}$"):
+    with pytest.raises(ValueError) as info:
         chirp_bode(coeffs, chirp(duration=10.0))
+    assert str(info.value) == unit_circle_refusal("chirp", radius)
 
 
 def test_chirp_refuses_a_sweep_too_short_for_two_bins():

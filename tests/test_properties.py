@@ -1,7 +1,8 @@
 """Property tests: the vectorized sweep, response evaluator and stepped-sine
 fit against the plain algorithms they replace, the chirp's spectral ratio
 and stepped sine on pid designs against the analytic digital response,
-the stepwise design route against the direct expansion, the runtime
+the stepwise design route against the direct expansion, the split of a
+pole at z = 1 against the np.roots rule it replaced, the runtime
 against its difference equation written out term by term, the block
 kernel against the fold, the canonical expression text against the
 parser, a curve compared with itself, and response curves and their files
@@ -41,7 +42,13 @@ from tustin.analysis import (
     compare_responses,
 )
 from tustin.csvio import read_csv, write_csv
-from tustin.discretize import DigitalFilterCoefficients, normalize, pole_radii
+from tustin.discretize import (
+    UNIT_CIRCLE_MARGIN,
+    DigitalFilterCoefficients,
+    _split_pole_at_one,
+    normalize,
+    pole_radii,
+)
 from tustin.polynomial import Polynomial
 from tustin.runtime import BLOCK_LEN, SLICE_BLOCKS, DigitalFilter, filter_series, process
 from tustin.tfparse import MAX_EXPONENT, canonical_text, parse_expression
@@ -312,12 +319,12 @@ def test_stepped_fit_is_the_multi_window_fit_bitwise(coeffs, grid):
 
 
 @st.composite
-def pid_designs(draw):
+def pid_designs(draw, rates=st.just(RATE)):
     # kp and ki log-uniform on 0.01-100, tau on 1-1000 rad/s: the integrator
-    # at z = 1, the derivative pole anywhere from 0.999 to -0.33
+    # at z = 1, the derivative pole at 1 kHz anywhere from 0.999 to -0.33
     kp, ki = (10.0 ** draw(st.floats(-2.0, 2.0)) for _ in range(2))
     tau = 10.0 ** draw(st.floats(0.0, 3.0))
-    return tustin_horner(catalog.pid(kp, ki, draw(st.floats(0.0, 1.0)), tau), RATE)
+    return tustin_horner(catalog.pid(kp, ki, draw(st.floats(0.0, 1.0)), tau), draw(rates))
 
 
 # Differenced, a pid's probe measures the design with its integrator
@@ -337,6 +344,51 @@ def test_stepped_bode_of_a_pid_matches_bode_digital(coeffs, grid):
         for t in (stepped_sine_bode(coeffs, grid).table, bode_digital(coeffs, grid).table)
     )
     assert np.all(np.abs(got - want) <= STEPPED_PID_RTOL * np.abs(want).max())
+
+
+# ------------------------------------------------------ a pole at z = 1
+
+
+def roots_split_pole_at_one(coeffs):
+    # The rule before it shared pole_radii's eigen-solve: np.roots' pole
+    # nearest 1 decides, and the running sums of D(z) are D(z) / (z - 1).
+    den = [1.0, *(-b for b in coeffs.b_hat)]
+    if not np.abs(np.roots(den) - 1.0).min(initial=np.inf) <= UNIT_CIRCLE_MARGIN:
+        return coeffs.b_hat, False
+    return (*-np.cumsum(den)[1:-1], 0.0), True
+
+
+@st.composite
+def stable_designs_to_order_8(draw):
+    den = placed_roots(draw, draw(st.integers(1, 8)), np.array([1.0]))
+    return tustin_horner(ContinuousTransferFunction.from_descending([1.0], den.tolist()), RATE)
+
+
+def butterworth4(corner_hz):
+    w = 2.0 * math.pi * corner_hz
+    poles = w * np.exp(1j * math.pi * np.arange(5, 12, 2) / 8.0)
+    return ContinuousTransferFunction.from_descending([w**4], np.poly(poles).real.tolist())
+
+
+# The @examples: D(1) near zero with no pole near z = 1 (a repeated pole,
+# a 1 Hz Butterworth-4), and pids at 100 Hz-100 kHz, the last with its
+# integrator 8.1e-12 from z = 1.
+@settings(deadline=None)
+@given(st.one_of(pid_designs(st.floats(1.0, 5.0).map(lambda e: 10.0**e)),
+                 stable_designs_to_order_8()))
+@example(tustin_horner(ContinuousTransferFunction.from_descending(
+    [1296.0], np.poly([-6.0] * 4).tolist()), RATE))
+@example(tustin_horner(butterworth4(1.0), RATE))
+@example(tustin_horner(catalog.pid(1.0, 3.0, 0.5, 300.0), 100.0))
+@example(tustin_horner(catalog.pid(1.0, 3.0, 0.5, 300.0), RATE))
+@example(tustin_horner(catalog.pid(1.0, 3.0, 0.5, 300.0), 1e5))
+@example(tustin_horner(catalog.pid(2.0, 0.01, 0.0, 1.0), 1e5))
+def test_the_pole_at_z_1_split_is_the_np_roots_rule_bitwise(coeffs):
+    got, found = _split_pole_at_one(coeffs)
+    want_b_hat, want_found = roots_split_pole_at_one(coeffs)
+    assert found is want_found
+    assert bits(got.b_hat) == bits(want_b_hat)
+    assert (got.a_hat, got.loop_rate_hz) == (coeffs.a_hat, coeffs.loop_rate_hz)
 
 
 # ------------------------------------------------------- runtime tick
