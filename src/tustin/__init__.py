@@ -43,7 +43,6 @@ from .runtime import DigitalFilter, RateMismatchError, filter_series, process
 from .signals import (
     ChirpSpec,
     TimeSeries,
-    chirp_phase,
     chirp_quadrature,
     generate_chirp,
     generate_sine,
@@ -78,7 +77,6 @@ __all__ = [
     "bode_digital",
     "canonical_text",
     "chirp_bode",
-    "chirp_phase",
     "chirp_quadrature",
     "compare_responses",
     "filter_series",

@@ -71,7 +71,7 @@ BODE_METHODS = {
     "analytic-continuous": ("tf", "num", "den", *_GRID),
     "analytic-digital": ("coeffs", *_GRID),
     "stepped": ("coeffs", *_GRID),
-    "chirp": ("coeffs", "kind", "fmin_hz", "fmax_hz", "duration", "amplitude"),
+    "chirp": ("coeffs", "fmin_hz", "fmax_hz", "duration"),
 }
 
 # Names every design and bode variant reads: the subcommand, the variant
@@ -90,7 +90,7 @@ class _UsageError(Exception):
 
 class _ArgumentParser(argparse.ArgumentParser):
     # Options are matched exactly: with argparse's prefix matching, a flag
-    # one subcommand lacks (bode --ki) would silently mean another (--kind).
+    # one subcommand lacks (chirp --ki) would silently mean another (--kind).
     # Subparsers are built by this class too, so they inherit the default.
     def __init__(self, *args, allow_abbrev: bool = False, **kwargs) -> None:
         super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
@@ -257,8 +257,9 @@ def _band(args: argparse.Namespace, rate: float | None) -> tuple[float, float]:
 
 def _chirp_spec(args: argparse.Namespace, rate: float) -> ChirpSpec:
     # The defaults for chirp and bode alike; chirp requires the band and
-    # --duration.  Below 250 Hz the default sweep lasts 120 s * 250 Hz / rate,
-    # so that on the default band it is the 30,000 samples of a 250 Hz design.
+    # --duration, and only chirp takes --kind and --amplitude.  Below 250 Hz
+    # the default sweep lasts 120 s * 250 Hz / rate, so that on the default
+    # band it is the 30,000 samples of a 250 Hz design.
     fmin, fmax = _band(args, rate)
     return ChirpSpec(
         kind=getattr(args, "kind", "exponential"),
@@ -446,9 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fmax-hz", type=float)
     p.add_argument("--points", type=int,
                    help="log-spaced grid size (analytic/stepped methods)")
-    p.add_argument("--kind", choices=CHIRP_KINDS, help="sweep law (chirp method)")
     p.add_argument("--duration", type=float, help="sweep length, s (chirp method)")
-    p.add_argument("--amplitude", type=float)
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
     p.set_defaults(func=cmd_bode)
 
@@ -488,6 +487,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail("INVALID", 1, str(e))
     except OSError as e:
         return _fail("IO", 1, str(e))
+    except MemoryError as e:  # numpy's message names the array it could not allocate
+        return _fail("INVALID", 1, f"out of memory: {str(e) or 'allocation failed'}")
 
 
 def run() -> None:

@@ -11,9 +11,10 @@ endpoint of the sweep law).  The recursion is evaluated as a running
 complex product of the step phasors cos(w_c dt) + j sin(w_c dt), which
 performs the same multiplies in the same order.  The rotation keeps
 cos**2 + sin**2 pinned to 1 to rounding error over millions of samples.
-The running sum of the angle increments is the sweep's accumulated phase.
-The chirp Bode measurement divides by the spectrum of :func:`generate_chirp`
-itself, so generator and analyzer share the very same samples.
+:func:`generate_chirp` scales the sine states by the amplitude.  The chirp
+Bode measurement filters the unit sweep, those sine states themselves, and
+divides by its spectrum, so generator and analyzer share the very same
+samples.
 """
 
 from __future__ import annotations
@@ -136,19 +137,6 @@ def _step_angles(spec: ChirpSpec) -> np.ndarray:
     # rotates sample i-1 into sample i.
     t = np.arange(1, sample_count(spec)) / spec.sample_rate
     return _sweep_law(spec, t) / spec.sample_rate
-
-
-def chirp_phase(spec: ChirpSpec) -> np.ndarray:
-    """Accumulated phase of each sample: running sum of the angle steps.
-
-    phase[0] is 0; phase[i] is the total angle the rotation recursion has
-    turned through when it lands on sample i.
-    """
-    theta = _step_angles(spec)
-    phase = np.empty(len(theta) + 1)
-    phase[0] = 0.0
-    np.cumsum(theta, out=phase[1:])
-    return phase
 
 
 def chirp_quadrature(spec: ChirpSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ against the frozen-dataclass points they replace."""
 import cmath
 import io
 import math
+import re
 import struct
 import sys
 from dataclasses import dataclass
@@ -254,9 +255,9 @@ def test_list_route_and_pole_radii_match_their_oracles_bitwise(tf, rate):
 
 @st.composite
 def chirp_measurements(draw):
-    # at least the two decades chirp_bode asks for, below 0.45 * RATE
+    # from one octave up to 0.45 * RATE
     fmin = math.exp(draw(st.floats(math.log(0.2), math.log(4.0))))
-    fmax = fmin * 10.0 ** draw(st.floats(2.01, math.log10(0.45 * RATE / fmin)))
+    fmax = fmin * 2.0 ** draw(st.floats(1.0, math.log2(0.45 * RATE / fmin)))
     kind = draw(st.sampled_from(["linear", "exponential"]))
     amplitude = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
     duration = draw(st.integers(500, 4000)) / RATE
@@ -273,10 +274,25 @@ CHIRP_RTOL = 1e-9
 @settings(deadline=None, max_examples=50)
 @given(stable_designs, chirp_measurements())
 def test_chirp_bode_matches_bode_digital(coeffs, spec):
-    points = chirp_bode(coeffs, spec)
+    fmin, fmax = spec.omega_min / (2.0 * math.pi), spec.omega_max / (2.0 * math.pi)
+    try:
+        points = chirp_bode(coeffs, spec)
+    except ValueError as exc:
+        # A band too narrow for the padded length: the refusal must name
+        # that length and the count of the documented bins, under two.
+        m = re.fullmatch(
+            rf"sweep of {re.escape(repr(spec.duration_s))} s is too short: zero-padded "
+            rf"to (\d+) samples, it puts (\d+) DFT bins inside "
+            rf"{re.escape(f'{fmin:.9g}-{fmax:.9g}')} Hz, fewer than 2", str(exc))
+        assert m is not None, str(exc)
+        n, count = int(m[1]), int(m[2])
+        assert n & (n - 1) == 0 and n >= round(spec.duration_s * RATE)
+        step = RATE / n
+        bins = np.unique(np.rint(np.geomspace(fmin, fmax, analysis.CHIRP_POINTS) / step))
+        assert count == np.count_nonzero((bins * step > fmin) & (bins * step < fmax)) < 2
+        return
     freqs = np.array([p.freq_hz for p in points])
     assert freqs.size >= 2 and np.all(np.diff(freqs) > 0.0)
-    fmin, fmax = spec.omega_min / (2.0 * math.pi), spec.omega_max / (2.0 * math.pi)
     assert fmin < freqs[0] and freqs[-1] < fmax
     got = np.array([
         10.0 ** (p.magnitude_db / 20.0) * cmath.exp(1j * math.radians(p.phase_deg))
