@@ -14,7 +14,9 @@ filter output, by least squares against the probe sine itself.  The chirp
 divides the DFT of the filter output by that of the sweep, both zero-padded
 past the design's impulse-response tail, so the ratio is the response at
 each bin up to that tail and rounding.  Both settle by one rule,
-:func:`_settle`.
+:func:`_settle`, and both filter what it leaves: the design itself, or,
+with a pole at z = 1 such as pid's integrator, the quotient
+Q = (1 - z^-1) H, whose measured response they divide by 1 - e^-jw.
 
 Because the design applies no prewarping, the digital response at angular
 frequency w equals the continuous response at 2*f_l*tan(w*dt/2); curves are
@@ -292,21 +294,26 @@ def _fit_quadrature(sin_ref: np.ndarray, cos_ref: np.ndarray, u: np.ndarray) -> 
     return complex((scc * us - ssc * uc) / det, (sss * uc - ssc * us) / det)
 
 
-def _settle(coeffs: DigitalFilterCoefficients, method: str) -> tuple[bool, int]:
-    """Whether the design has a pole at z = 1, and the samples it settles in.
+def _settle(coeffs: DigitalFilterCoefficients,
+            method: str) -> tuple[DigitalFilterCoefficients, bool, int]:
+    """The design to filter, whether it divides out a pole at z = 1, and
+    the samples that design settles in.
 
     A pole at z = 1, such as pid's integrator, leaves a tail that never
     decays, so it is divided out first (see
-    :func:`~tustin.discretize._split_pole_at_one`).  What is left settles
-    in k samples, the smallest k at which its impulse-response tail
-    sum_{j>=k} |h_j| is at most SETTLE_TAIL_RTOL of sum |h|.  The
+    :func:`~tustin.discretize._split_pole_at_one`): the quotient
+    Q = (1 - z^-1) H is what both measured methods filter, and
+    :func:`_measured_curve` divides its response by that factor.
+    Without such a pole the quotient is ``coeffs`` itself.  The quotient
+    settles in k samples, the smallest k at which its impulse-response
+    tail sum_{j>=k} |h_j| is at most SETTLE_TAIL_RTOL of sum |h|.  The
     ValueError, naming ``method`` and the largest pole radius left, gives
     one of two reasons there is no k: a pole left on or within
     UNIT_CIRCLE_MARGIN of the unit circle, or outside it; or a tail that
     outlasts half of SETTLE_MAX_SAMPLES.
     """
-    coeffs, integrator = _split_pole_at_one(coeffs)
-    radius = max(pole_radii(coeffs), default=0.0)
+    quotient, integrator = _split_pole_at_one(coeffs)
+    radius = max(pole_radii(quotient), default=0.0)
     if radius >= 1.0 - UNIT_CIRCLE_MARGIN:
         reason = "a z-pole other than one at z = 1 lies on or outside the unit circle"
     else:
@@ -315,15 +322,28 @@ def _settle(coeffs: DigitalFilterCoefficients, method: str) -> tuple[bool, int]:
         while n <= SETTLE_MAX_SAMPLES:
             impulse = np.zeros(n)
             impulse[0] = 1.0
-            h = filter_series(coeffs, TimeSeries(coeffs.loop_rate_hz, impulse),
+            h = filter_series(quotient, TimeSeries(quotient.loop_rate_hz, impulse),
                               use_startup_heuristic=False)
             # tail[k] = sum_{j>=k} |h_j|, summed from the far end.
             tail = np.cumsum(np.abs(h.samples[::-1]))[::-1]
             limit = SETTLE_TAIL_RTOL * tail[0]
             if tail[n // 2] <= limit:
-                return integrator, int(np.argmax(tail <= limit))
+                return quotient, integrator, int(np.argmax(tail <= limit))
             n *= 4
     raise ValueError(f"{method} bode: {reason}; the largest radius is {radius!r}")
+
+
+def _measured_curve(freqs_hz: Sequence[float], q: Sequence[complex], integrator: bool,
+                    rate_hz: float) -> ResponseCurve:
+    # The curve of q, the measured response of the quotient from _settle.
+    # With a pole at z = 1 divided out, H = q / (1 - e^-jw), w = 2 pi f /
+    # rate_hz, the divisor written as 2j sin(w/2) e^(-jw/2): 1 - e^-jw loses
+    # about eps/w of relative accuracy at small w, and w is 6e-6 rad at
+    # 0.1 Hz and 100 kHz.
+    if integrator:
+        half = math.pi * np.asarray(freqs_hz) / rate_hz
+        q = np.asarray(q) / (2j * np.sin(half) * np.exp(-1j * half))
+    return _to_points(freqs_hz, q)
 
 
 def stepped_sine_bode(
@@ -342,9 +362,8 @@ def stepped_sine_bode(
     Every probe settles for the design's own memory, the samples
     :func:`_settle` finds, and then fits MEASURE_CYCLES input cycles;
     a design that cannot settle is refused there with ValueError.  With a
-    pole at z = 1 the probe, its cosine reference and the output are
-    differenced before the fit: (1 - z^-1) cancels the pole and the
-    constant it adds, and leaves the fitted response unchanged.
+    pole at z = 1 every probe runs the quotient Q = (1 - z^-1) H instead,
+    and each fitted Q is divided by 1 - e^-jw.
 
     Returns
     -------
@@ -363,21 +382,16 @@ def stepped_sine_bode(
                 f"grid frequency {f} Hz outside (0, "
                 f"{STEPPED_SINE_MAX_FREQ_FRACTION} * loop rate)"
             )
-    integrator, settle = _settle(coeffs, "stepped")
+    quotient, integrator, settle = _settle(coeffs, "stepped")
     responses = []
     for f in freqs:
-        cycles = settle * f / rate
-        duration = (cycles + MEASURE_CYCLES) / f
-        series = generate_sine(f, 1.0, 0.0, duration, rate)
-        out = filter_series(coeffs, series)
-        i0 = int(round(cycles / f * rate))
-        # A unit sine with no offset is its own sine reference.
-        cos_ref = np.cos(2.0 * math.pi * f * series.times[i0:])
-        fit = [series.samples[i0:], cos_ref, out.samples[i0:]]
-        if integrator:
-            fit = [np.diff(u) for u in fit]
-        responses.append(_fit_quadrature(*fit))
-    return _to_points(freqs, responses)
+        # settle samples, then MEASURE_CYCLES cycles to fit.  A unit sine
+        # with no offset is its own sine reference.
+        series = generate_sine(f, 1.0, 0.0, (settle * f / rate + MEASURE_CYCLES) / f, rate)
+        out = filter_series(quotient, series)
+        cos_ref = np.cos(2.0 * math.pi * f * series.times[settle:])
+        responses.append(_fit_quadrature(series.samples[settle:], cos_ref, out.samples[settle:]))
+    return _measured_curve(freqs, responses, integrator, rate)
 
 
 def chirp_bode(coeffs: DigitalFilterCoefficients, spec: ChirpSpec) -> ResponseCurve:
@@ -395,9 +409,8 @@ def chirp_bode(coeffs: DigitalFilterCoefficients, spec: ChirpSpec) -> ResponseCu
     refused.
 
     A design that cannot settle is refused there with ValueError.  With a
-    pole at z = 1, such as pid's integrator, output and input are
-    differenced first: (1 - z^-1) cancels that pole, and
-    H = D/((1 - e^-jw) X), D the differenced output's DFT.
+    pole at z = 1, such as pid's integrator, the sweep runs through the
+    quotient Q = (1 - z^-1) H instead, and H = (Y/X) / (1 - e^-jw).
 
     The sweep must end below the Nyquist frequency (AboveNyquistError
     otherwise) and be sampled at the filter's design rate;
@@ -406,14 +419,11 @@ def chirp_bode(coeffs: DigitalFilterCoefficients, spec: ChirpSpec) -> ResponseCu
     # Above Nyquist the samples are those of an alias; its response would be
     # reported at the wrong frequency.
     _below_nyquist(np.array([spec.omega_max]), spec.sample_rate, "sweep end omega")
-    integrator, tail = _settle(coeffs, "chirp")
+    quotient, integrator, tail = _settle(coeffs, "chirp")
     x = chirp_quadrature(spec)[1]
     n = 1 << (len(x) + tail - 1).bit_length()
     x = np.pad(x, (0, n - len(x)))
-    y = filter_series(coeffs, TimeSeries(spec.sample_rate, x), use_startup_heuristic=False).samples
-    if integrator:
-        # (1 - z^-1) on both sides cancels the pole and leaves H = Y/X.
-        x, y = np.diff(x, prepend=0.0), np.diff(y, prepend=0.0)
+    y = filter_series(quotient, TimeSeries(spec.sample_rate, x), use_startup_heuristic=False).samples
     fmin, fmax = spec.omega_min / (2.0 * math.pi), spec.omega_max / (2.0 * math.pi)
     step = spec.sample_rate / n
     bins = np.unique(np.rint(np.geomspace(fmin, fmax, CHIRP_POINTS) / step).astype(int))
@@ -431,7 +441,7 @@ def chirp_bode(coeffs: DigitalFilterCoefficients, spec: ChirpSpec) -> ResponseCu
     # multiply and an add.
     norm = xr * xr + xi * xi
     h = (yr * xr + yi * xi) / norm + 1j * ((yi * xr - yr * xi) / norm)
-    return _to_points(bins * step, h)
+    return _measured_curve(bins * step, h, integrator, spec.sample_rate)
 
 
 def _sorted_curve(

@@ -251,8 +251,13 @@ def _band(args: argparse.Namespace, rate: float | None) -> tuple[float, float]:
     # bode's default band is 0.1-100 Hz, or, below a design rate of 250 Hz,
     # the three decades up to 0.4 * rate: under the stepped limit,
     # analysis.STEPPED_SINE_MAX_FREQ_FRACTION.  analytic-continuous has no rate.
+    # Every bode method and chirp read their band here, so all refuse a bad
+    # one alike.
     top = 100.0 if rate is None else min(100.0, 0.4 * rate)
-    return getattr(args, "fmin_hz", min(0.1, top / 1000.0)), getattr(args, "fmax_hz", top)
+    fmin, fmax = getattr(args, "fmin_hz", min(0.1, top / 1000.0)), getattr(args, "fmax_hz", top)
+    if not (0.0 < fmin < fmax):
+        raise _UsageError("need 0 < --fmin-hz < --fmax-hz")
+    return fmin, fmax
 
 
 def _chirp_spec(args: argparse.Namespace, rate: float) -> ChirpSpec:
@@ -320,8 +325,6 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 def _frequency_grid(args: argparse.Namespace, rate: float | None) -> np.ndarray:
     fmin, fmax = _band(args, rate)
-    if not (0.0 < fmin < fmax):
-        raise _UsageError("need 0 < --fmin-hz < --fmax-hz")
     points = getattr(args, "points", 200)
     if points < 2:
         raise _UsageError("--points must be at least 2")

@@ -10,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from tustin import analysis, catalog
+from tustin import analysis, catalog, runtime
 from tustin.analysis import (
     BODE_CSV_HEADER,
     MAGNITUDE_DB_FLOOR,
@@ -354,9 +354,10 @@ def assert_tail_falls_below_tolerance_at(coeffs, k):
 
 def test_settle_length_is_where_the_impulse_tail_falls_below_tolerance():
     coeffs = tustin_horner(catalog.butterworth2(TWO_PI * 12.3), RATE)
-    found, k = analysis._settle(coeffs, "test")
-    assert not found
-    assert_tail_falls_below_tolerance_at(coeffs, k)
+    quotient, found, k = analysis._settle(coeffs, "test")
+    # no pole at z = 1: the design itself is the quotient
+    assert quotient is coeffs and not found
+    assert_tail_falls_below_tolerance_at(quotient, k)
 
 
 REPEATED_POLE = ContinuousTransferFunction.from_descending(
@@ -382,18 +383,38 @@ def butterworth4(corner_hz):
 ], ids=["repeated-pole", "butter4-1hz", "pid-100hz", "pid-1khz", "pid-100khz", "pid-slow-100khz"])
 def test_a_pole_at_z_1_is_found_by_the_pole_itself(tf, rate, integrator):
     coeffs = tustin_horner(tf, rate)
-    found, settle = analysis._settle(coeffs, "test")
+    quotient, found, settle = analysis._settle(coeffs, "test")
     assert found is integrator
     if integrator:
         # on the unit circle, so only the quotient has a tail to measure
         assert pole_radii(coeffs)[0] >= 1.0 - UNIT_CIRCLE_MARGIN
-        quotient, _ = _split_pole_at_one(coeffs)
-        assert analysis._settle(quotient, "test") == (False, settle)
-        assert_tail_falls_below_tolerance_at(quotient, settle)
+        assert quotient == _split_pole_at_one(coeffs)[0]
+        assert analysis._settle(quotient, "test") == (quotient, False, settle)
+        # Q = (1 - z^-1) H, the factor the measured methods divide by
+        omega = TWO_PI * rate * np.array([1e-3, 0.01, 0.1, 0.4])
+        want = [(1.0 - np.exp(-1j * w / rate)) * analytic_response_digital(coeffs, w)
+                for w in omega]
+        got = [analytic_response_digital(quotient, w) for w in omega]
+        assert got == pytest.approx(want, rel=1e-9)
     else:
+        assert quotient is coeffs
         # the sum of the denominator's coefficients alone cannot tell
         assert abs(1.0 - sum(coeffs.b_hat)) < 2e-9
-        assert_tail_falls_below_tolerance_at(coeffs, settle)
+    assert_tail_falls_below_tolerance_at(quotient, settle)
+
+
+def test_stepped_and_chirp_of_a_pid_never_run_the_per_sample_fold(monkeypatch):
+    # The quotient has every pole inside the unit circle, so filter_series
+    # runs it on the block kernel and never falls back to runtime.process.
+    def fold(*args, **kwargs):
+        raise AssertionError("runtime.process was called")
+
+    monkeypatch.setattr(runtime, "process", fold)
+    coeffs = tustin_horner(catalog.pid(1.0, 3.0, 0.5, 300.0), RATE)
+    grid = np.logspace(-1.0, 2.0, 10)
+    for curve in (stepped_sine_bode(coeffs, grid), chirp_bode(coeffs, chirp(duration=20.0))):
+        got, want = curve.table, bode_digital(coeffs, curve.table[:, 0]).table
+        assert np.abs(got[:, 1:] - want[:, 1:]).max() <= 1e-8
 
 
 # A pole at z = -1 never settles, 1.5 is unstable, and of a double pole at
@@ -435,7 +456,8 @@ def test_stepped_and_chirp_refuse_a_tail_that_outlasts_half_the_longest_run(monk
     catalog.pid(1.0, 2.0, 0.1, 200.0),
 ], ids=["pid-1-3-0.5-300", "pid-1-2-0.1-200"])
 def test_stepped_pid_matches_analytic_digital_on_the_default_grid(tf):
-    # The integrator is differenced out of probe, reference and output.
+    # The probe runs the quotient, the integrator divided out, and the fit
+    # is divided by 1 - e^-jw.
     coeffs = tustin_horner(tf, RATE)
     grid = np.logspace(-1.0, 2.0, 200)
     got, want = stepped_sine_bode(coeffs, grid).table, bode_digital(coeffs, grid).table

@@ -190,13 +190,38 @@ def test_chirp_to_stdout(capsys):
     assert len(out.splitlines()) == 101
 
 
+BAND_REFUSAL = "error[ARGS]: need 0 < --fmin-hz < --fmax-hz\n"
+
+
 def test_chirp_rejects_reversed_band(capsys):
     code, _, err = run(
         capsys, "chirp", "--fmin-hz", "50", "--fmax-hz", "1",
         "--duration", "1", "--rate", "100",
     )
-    assert code == 1
-    assert err.startswith("error[INVALID]: ")
+    assert (code, err) == (2, BAND_REFUSAL)
+
+
+@pytest.mark.parametrize("command", [
+    ["chirp", "--duration", "1", "--rate", "100"],
+    ["bode", "--method", "chirp", "--coeffs", "{coeffs}"],
+    ["bode", "--method", "stepped", "--coeffs", "{coeffs}"],
+    ["bode", "--method", "analytic-digital", "--coeffs", "{coeffs}"],
+    ["bode", "--method", "analytic-continuous", "--tf", "1/(s+1)"],
+], ids=["chirp", "bode-chirp", "bode-stepped", "bode-analytic-digital",
+        "bode-analytic-continuous"])
+@pytest.mark.parametrize("band", [
+    ["--fmin-hz", "10", "--fmax-hz", "5"],
+    ["--fmin-hz", "5", "--fmax-hz", "5"],
+    ["--fmin-hz", "-1", "--fmax-hz", "5"],
+    ["--fmin-hz", "0", "--fmax-hz", "5"],
+    ["--fmin-hz", "nan", "--fmax-hz", "5"],
+], ids=["reversed", "empty", "negative", "zero", "nan"])
+def test_every_band_path_refuses_a_bad_band_with_one_args_line(
+    capsys, butter_file, command, band,
+):
+    # A band in Hz is refused as a usage error, never as a rad/s value.
+    code, _, err = run(capsys, *[a.format(coeffs=butter_file) for a in command], *band)
+    assert (code, err) == (2, BAND_REFUSAL)
 
 
 # ----------------------------------------------------------------- filter
