@@ -283,11 +283,11 @@ def _fit_quadrature(sin_ref: np.ndarray, cos_ref: np.ndarray, u: np.ndarray) -> 
     # Least-squares fit u ~ p*sin_ref + q*cos_ref via the 2x2 normal
     # equations; returns p + jq.  Solving exactly (instead of summing
     # u*exp(-j*phase)) removes the second-harmonic leakage of a fit over a
-    # span that rounding has made not quite whole cycles.  reduceat adds in
-    # index order; np.sum's pairwise order would move the curves' last bits.
-    terms = np.stack([sin_ref * sin_ref, cos_ref * cos_ref, sin_ref * cos_ref,
-                      u * sin_ref, u * cos_ref])
-    sss, scc, ssc, us, uc = np.add.reduceat(terms, [0], axis=1)[:, 0]
+    # span that rounding has made not quite whole cycles.  Each product is
+    # reduced as it is formed, so one full-length row is alive at a time.
+    # The curves' bits pin reduceat's summation order, not np.sum's.
+    sss, scc, ssc, us, uc = (np.add.reduceat(p * q, [0])[0] for p, q in (
+        (sin_ref, sin_ref), (cos_ref, cos_ref), (sin_ref, cos_ref), (u, sin_ref), (u, cos_ref)))
     det = sss * scc - ssc * ssc
     if det <= 0.0:
         raise ValueError("degenerate stepped-sine fit")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .discretize import ContinuousTransferFunction, _positive
+from .discretize import ContinuousTransferFunction, _finite, _positive
 
 
 def lowpass1(omega0: float) -> ContinuousTransferFunction:
@@ -42,9 +42,7 @@ def pid(kp: float, ki: float, kd: float, tau: float) -> ContinuousTransferFuncti
     s*(s + tau).  tau bounds the derivative gain at high frequency.
     """
     t = _positive("tau", tau)
-    for name, v in (("kp", kp), ("ki", ki), ("kd", kd)):
-        if not math.isfinite(float(v)):
-            raise ValueError(f"{name} must be finite, got {v!r}")
+    kp, ki, kd = _finite("kp", kp), _finite("ki", ki), _finite("kd", kd)
     return ContinuousTransferFunction.from_descending(
         [kp + kd * t, kp * t + ki, ki * t], [1.0, t, 0.0]
     )
@@ -57,11 +55,9 @@ def leadlag(gain: float, zero: float, pole: float) -> ContinuousTransferFunction
     """
     p = _positive("pole", pole)
     g = float(gain)
-    z = float(zero)
     if not math.isfinite(g) or g == 0.0:
         raise ValueError(f"gain must be nonzero and finite, got {gain!r}")
-    if not math.isfinite(z):
-        raise ValueError(f"zero must be finite, got {zero!r}")
+    z = _finite("zero", zero)
     return ContinuousTransferFunction.from_descending([g, g * z], [1.0, p])
 
 

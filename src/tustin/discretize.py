@@ -147,6 +147,14 @@ def _positive(name: str, value: float, error: type[ValueError] = ValueError) -> 
     return v
 
 
+def _finite(name: str, value: float) -> float:
+    """value as a float; raises ValueError naming it unless finite."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return v
+
+
 def normalize(
     num_z: Polynomial, den_z: Polynomial, loop_rate_hz: float
 ) -> DigitalFilterCoefficients:
@@ -268,11 +276,12 @@ def _poles(b_hat: tuple[float, ...]) -> np.ndarray:
     # Roots of z**n - b_hat[0] z**(n-1) - ... - b_hat[n-1] but those at
     # z = 0 that trailing zero b_hat entries put there: the eigenvalues of
     # the companion matrix that numpy.roots builds, the rest of b_hat its
-    # first row, so these are numpy.roots' roots bit for bit.
+    # first row, so these are numpy.roots' roots bit for bit.  Without a
+    # nonzero entry the companion is 0 x 0 and has no eigenvalues.
     m = max((i + 1 for i, v in enumerate(b_hat) if v), default=0)
     companion = np.eye(m, k=-1)
     companion[:1] = b_hat[:m]
-    return np.linalg.eigvals(companion) if m else np.zeros(0)
+    return np.linalg.eigvals(companion)
 
 
 def pole_radii(coeffs: DigitalFilterCoefficients) -> tuple[float, ...]:

@@ -260,7 +260,7 @@ def filter_series(
 
     Same arguments, errors and result as :func:`process`, to rounding.  The
     series goes to :func:`process` unchanged where the block form cannot be
-    trusted: order 0 or above BLOCK_LEN, a z-pole on or outside the unit
+    trusted: an order above BLOCK_LEN, a z-pole on or outside the unit
     circle (within UNIT_CIRCLE_MARGIN), a rounding estimate above
     BLOCK_ROUNDING_LIMIT, or an input or output that is not finite.  Every
     error is therefore the one :func:`process` raises.
@@ -289,11 +289,12 @@ def _block_realization(
     by the n inputs before it and y the n outputs before it, both oldest
     first: M is BLOCK_LEN x (n + BLOCK_LEN), O is BLOCK_LEN x n.  Both come
     from one run of the difference equation over n + BLOCK_LEN + n unit
-    columns, one per entry of w and then one per entry of y.  Cached per
-    design, as stepped_sine_bode runs one design many times.
+    columns, one per entry of w and then one per entry of y.  At order 0, a
+    gain, M is that gain times the identity and O has no columns.  Cached
+    per design, as stepped_sine_bode runs one design many times.
     """
     n = coeffs.order
-    if n == 0 or n > BLOCK_LEN or pole_radii(coeffs)[0] >= 1.0 - UNIT_CIRCLE_MARGIN:
+    if n > BLOCK_LEN or max(pole_radii(coeffs), default=0.0) >= 1.0 - UNIT_CIRCLE_MARGIN:
         return None
     # Rows are time, oldest first: n rows of history, then the block.
     width = n + BLOCK_LEN
@@ -318,10 +319,11 @@ def _run_blocks(
     Per slice of blocks, one product gives every block's M w, its window w
     read straight from the series.  Only the output history y crosses block
     edges, y_{i+1} = P y_i + t_i with P the last n rows of O and t_i the last
-    n entries of block i's M w: a linear recurrence, solved for all blocks
-    at once by doubling in log2 of the block count steps (Hillis and
-    Steele, "Data parallel algorithms", CACM 29(12), 1986).  A second
-    product per slice then adds O y to every block.
+    n entries of block i's M w (none of either at n = 0, where O y adds
+    zero): a linear recurrence, solved for all blocks at once by doubling
+    in log2 of the block count steps (Hillis and Steele, "Data parallel
+    algorithms", CACM 29(12), 1986).  A second product per slice then adds
+    O y to every block.
     """
     n = o.shape[1]
     # n samples of input history, then the series padded to whole blocks,
@@ -344,8 +346,8 @@ def _run_blocks(
                   out=out[j:j + SLICE_BLOCKS])
     # hist[i] = t_{i-1}, then after step s the sum of P^k t_{i-1-k} over
     # k < 2s: once 2s covers every block, hist[i] = y_i.
-    hist[1:] = out[:-1, -n:]
-    p, s = o[-n:], 1
+    hist[1:] = out[:-1, BLOCK_LEN - n:]
+    p, s = o[BLOCK_LEN - n:], 1
     while s < len(hist):
         hist[s:] += hist[:-s] @ p.T
         p, s = p @ p, 2 * s

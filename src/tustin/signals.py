@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import _positive
+from .discretize import _finite, _positive
 
 # Hard cap on duration * sample_rate; beyond this the sample count no
 # longer fits comfortably in memory and is certainly a typo.
@@ -85,13 +85,10 @@ class ChirpSpec:
     def __post_init__(self) -> None:
         if self.kind not in CHIRP_KINDS:
             raise ValueError(f"kind must be one of {CHIRP_KINDS}, got {self.kind!r}")
-        for name in ("omega_max", "amplitude"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
-        for name in ("omega_min", "duration_s", "sample_rate"):
-            object.__setattr__(self, name, _positive(name, getattr(self, name)))
+        for name, check in (("omega_max", _finite), ("amplitude", _finite),
+                            ("omega_min", _positive), ("duration_s", _positive),
+                            ("sample_rate", _positive)):
+            object.__setattr__(self, name, check(name, getattr(self, name)))
         if self.omega_max <= self.omega_min:
             raise ValueError("omega_max must exceed omega_min")
         if sample_count(self) < 2:
@@ -164,9 +161,9 @@ def generate_sine(
     sample_rate: float,
 ) -> TimeSeries:
     """Fixed sine amplitude*sin(2 pi f t) + offset on t = i/rate in [0, T)."""
-    for name, v in (("freq_hz", freq_hz), ("amplitude", amplitude), ("offset", offset)):
-        if not math.isfinite(float(v)):
-            raise ValueError(f"{name} must be finite, got {v!r}")
+    freq_hz = _finite("freq_hz", freq_hz)
+    amplitude = _finite("amplitude", amplitude)
+    offset = _finite("offset", offset)
     if freq_hz < 0.0:
         raise ValueError("freq_hz must be nonnegative")
     duration_s = _positive("duration_s", duration_s)

@@ -16,6 +16,7 @@ from tustin.discretize import (
     FilterDesignError,
     NonCausalError,
     NonPositiveRateError,
+    _split_pole_at_one,
     normalize,
     pole_radii,
     tustin_direct,
@@ -268,6 +269,16 @@ def test_pole_radii_returns_a_trailing_zero_as_a_pole_at_the_origin():
     coeffs = tustin_horner(tf([1.0], [1.0, 2000.0]), 1000.0)
     assert struct.pack("<d", *coeffs.b_hat) == struct.pack("<d", -0.0)
     assert pole_radii(coeffs) == (0.0,)
+
+
+@pytest.mark.parametrize("b_hat", [(), (0.0,), (0.0, -0.0, 0.0)],
+                         ids=["order0", "zero-b_hat-1", "zero-b_hat-3"])
+def test_a_design_without_a_nonzero_pole_has_its_poles_at_the_origin(b_hat):
+    # The companion matrix is 0 x 0: every pole sits at z = 0, none at z = 1.
+    coeffs = DigitalFilterCoefficients((2.5,) + (0.0,) * len(b_hat), b_hat, 1000.0)
+    assert pole_radii(coeffs) == (0.0,) * len(b_hat)
+    quotient, found = _split_pole_at_one(coeffs)
+    assert quotient is coeffs and found is False
 
 
 def test_pole_radii_sorted_descending():

@@ -331,6 +331,21 @@ def fit_quadrature_windows(sin_ref, cos_ref, u, edges):
     return fit
 
 
+@settings(deadline=None, max_examples=20)
+@given(st.integers(10, 10**6), st.integers(0, 2**32 - 1))
+def test_fit_reduces_each_product_as_the_stacked_fit_does_bitwise(length, seed):
+    # _fit_quadrature never stacks its five products; each row's sum must
+    # still equal the stacked reduceat's, bit for bit.
+    rng = np.random.default_rng(seed)
+    phase = np.cumsum(rng.uniform(0.0, 0.5, length))
+    sin_ref, cos_ref = np.sin(phase), np.cos(phase)
+    p, q = rng.uniform(-2.0, 2.0, 2)
+    u = p * sin_ref + q * cos_ref + rng.normal(0.0, 1e-3, length)
+    got = analysis._fit_quadrature(sin_ref, cos_ref, u)
+    want = fit_quadrature_windows(sin_ref, cos_ref, u, [0])[0]
+    assert struct.pack("<2d", got.real, got.imag) == struct.pack("<2d", want.real, want.imag)
+
+
 @settings(deadline=None, max_examples=25)
 @given(stable_designs, st.lists(
     st.floats(0.1, STEPPED_SINE_MAX_FREQ_FRACTION * RATE, exclude_max=True),

@@ -322,20 +322,44 @@ def butterworth(order, corner_hz):
     tustin_horner(butterworth(6, 5.0), 1000.0),
     # the integrator's pole sits on the unit circle
     tustin_horner(catalog.pid(2.0, 5.0, 0.1, 100.0), 1000.0),
-    # order 0 carries no state
-    IDENTITY,
     # a state longer than one block
     DigitalFilterCoefficients(
         tuple(np.linspace(1.0, 0.0, BLOCK_LEN + 2) / (BLOCK_LEN + 2)),
         (0.0,) * (BLOCK_LEN + 1), 1000.0,
     ),
-], ids=["butterworth6-5Hz", "pid", "order0", "order-above-block"])
+], ids=["butterworth6-5Hz", "pid", "order-above-block"])
 @pytest.mark.parametrize("heuristic", [True, False])
 def test_filter_series_folds_where_blocks_cannot_be_trusted(coeffs, heuristic):
     rng = np.random.default_rng(35)
     series = TimeSeries(1000.0, rng.uniform(-1.0, 1.0, 5 * BLOCK_LEN + 3) + 2.0)
     got = filter_series(coeffs, series, heuristic)
     want = process(coeffs, series, heuristic)
+    assert got.samples.tobytes() == want.samples.tobytes()
+
+
+@pytest.mark.parametrize("gain", [2.5, -0.3, 1e-300, 2.5e10, 1.0, -1.0],
+                         ids=["2.5", "-0.3", "1e-300", "2.5e10", "identity", "negation"])
+@pytest.mark.parametrize("heuristic", [True, False])
+def test_filter_series_runs_a_gain_on_the_block_kernel(monkeypatch, gain, heuristic):
+    # Order 0 carries no state: the block is the gain times the identity and
+    # O has no columns, so every output is the fold's one product, bitwise.
+    coeffs = DigitalFilterCoefficients((gain,), (), 1000.0)
+    assert runtime._block_realization(coeffs) is not None
+    rng = np.random.default_rng(36)
+    tiny = sys.float_info.min
+    samples = np.concatenate([
+        rng.uniform(-1.0, 1.0, 2 * BLOCK_LEN),
+        rng.uniform(-tiny, tiny, BLOCK_LEN),  # subnormal, flushed to zero
+        np.resize([0.0, -0.0], BLOCK_LEN + 3),
+    ])
+    series = TimeSeries(1000.0, rng.permutation(samples))
+    want = process(coeffs, series, heuristic)
+
+    def fold(*args, **kwargs):
+        raise AssertionError("runtime.process was called")
+
+    monkeypatch.setattr(runtime, "process", fold)
+    got = filter_series(coeffs, series, heuristic)
     assert got.samples.tobytes() == want.samples.tobytes()
 
 
@@ -358,10 +382,12 @@ def _with_nan():
      "not finite from sample 1691 on"),
     (BUTTER, TimeSeries(1000.0, np.full(500, 1e308)), ValueError,
      "not finite from sample 0 on"),
+    (DigitalFilterCoefficients((2.5e10,), (), 1000.0), TimeSeries(1000.0, np.full(500, 1e300)),
+     ValueError, "not finite from sample 0 on; largest z-pole radius 0"),
     (BUTTER, _with_nan(), ValueError, "filter input must be finite, got nan"),
     (BUTTER, generate_sine(10.0, 1.0, 0.0, 0.1, 999.0), RateMismatchError,
      "!= design rate"),
-], ids=["diverges", "overflows", "nan-input", "rate"])
+], ids=["diverges", "overflows", "gain-overflows", "nan-input", "rate"])
 def test_filter_series_raises_what_process_raises(coeffs, series, error, message):
     raised = _raised(filter_series, coeffs, series)
     assert raised == _raised(process, coeffs, series)

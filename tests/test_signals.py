@@ -243,7 +243,11 @@ def test_sine_validation():
     ((1.0, 1.0, 0.0, 1.0, float("nan")), "sample_rate must be positive and finite, got nan"),
     ((1.0, 1.0, 0.0, float(MAX_SAMPLES), 10.0),
      f"duration * rate exceeds {MAX_SAMPLES} samples; refusing"),
-], ids=["under-one-sample", "zero-duration", "inf-duration", "negative-rate", "nan-rate", "cap"])
+    ((float("nan"), 1.0, 0.0, 1.0, 100.0), "freq_hz must be finite, got nan"),
+    ((1.0, float("-inf"), 0.0, 1.0, 100.0), "amplitude must be finite, got -inf"),
+    ((1.0, 1.0, float("inf"), 1.0, 100.0), "offset must be finite, got inf"),
+], ids=["under-one-sample", "zero-duration", "inf-duration", "negative-rate", "nan-rate", "cap",
+        "nan-freq", "inf-amplitude", "inf-offset"])
 def test_sine_names_the_bad_argument(args, message):
     with pytest.raises(ValueError) as info:
         generate_sine(*args)
