@@ -359,11 +359,11 @@ def stepped_sine_bode(
         Probe frequencies, a one-dimensional grid, each below
         STEPPED_SINE_MAX_FREQ_FRACTION of the loop rate.
 
-    Every probe settles for the design's own memory, the samples
-    :func:`_settle` finds, and then fits MEASURE_CYCLES input cycles;
-    a design that cannot settle is refused there with ValueError.  With a
-    pole at z = 1 every probe runs the quotient Q = (1 - z^-1) H instead,
-    and each fitted Q is divided by 1 - e^-jw.
+    Every probe runs from rest, settles for the design's own memory, the
+    samples :func:`_settle` finds, and then fits MEASURE_CYCLES input
+    cycles; a design that cannot settle is refused there with ValueError.
+    With a pole at z = 1 every probe runs the quotient Q = (1 - z^-1) H
+    instead, and each fitted Q is divided by 1 - e^-jw.
 
     Returns
     -------
@@ -388,7 +388,7 @@ def stepped_sine_bode(
         # settle samples, then MEASURE_CYCLES cycles to fit.  A unit sine
         # with no offset is its own sine reference.
         series = generate_sine(f, 1.0, 0.0, (settle * f / rate + MEASURE_CYCLES) / f, rate)
-        out = filter_series(quotient, series)
+        out = filter_series(quotient, series, use_startup_heuristic=False)
         cos_ref = np.cos(2.0 * math.pi * f * series.times[settle:])
         responses.append(_fit_quadrature(series.samples[settle:], cos_ref, out.samples[settle:]))
     return _measured_curve(freqs, responses, integrator, rate)

@@ -11,20 +11,20 @@ production path: a stepwise polynomial pipeline (divide out s**n,
 substitute, shift, reverse, scale, shift back).  ``_horner_substitution``
 runs every step on one list of coefficients: the shift and the scaling
 are :func:`tustin.polynomial.taylor_shift` and
-:func:`tustin.polynomial.scale_argument`, the reversal is a slice, and one
-Polynomial per side is built at the end.  :func:`tustin_direct` expands
-the substitution by brute force: numpy expands each product
-(z - 1)**(n-k) * (z + 1)**k from its roots +1 and -1.  Only the
-substitution differs; the rate checks, the padding and the normalization
-are shared.  The routes agree to rounding error and cross-check each
-other in the test suite.
+:func:`tustin.polynomial.scale_argument`, and the reversal is a slice.
+:func:`tustin_direct` expands the substitution by brute force: numpy
+expands each product (z - 1)**(n-k) * (z + 1)**k from its roots +1 and
+-1.  Either substitution hands its descending list straight to
+:func:`normalize`, which checks it.  Only the substitution differs; the
+rate checks, the padding and the normalization are shared.  The routes
+agree to rounding error and cross-check each other in the test suite.
 
 No frequency prewarping is applied: the digital response at angular
 frequency w equals the continuous response at the warped frequency
 2*f_l*tan(w/(2*f_l)), an identity the analysis module exploits.
 
 Coefficient vectors on this module's surface are descending in power;
-see :mod:`tustin.polynomial` for the storage convention.
+only H(s) is stored as :class:`tustin.polynomial.Polynomial`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .polynomial import Polynomial, scale_argument, taylor_shift
+from .polynomial import Polynomial, _as_finite_floats, scale_argument, taylor_shift
 
 # A leading z-domain denominator coefficient not above this fraction of
 # the largest denominator coefficient means the map collapsed the filter
@@ -105,7 +105,7 @@ class ContinuousTransferFunction:
         Raises ZeroDivisionError when the denominator constant term is
         zero (a pole at s = 0 has no DC gain).
         """
-        return self.numerator.coeffs[0] / self.denominator.coeffs[0]
+        return self.numerator.descending()[-1] / self.denominator.descending()[-1]
 
 
 @dataclass(frozen=True)
@@ -156,21 +156,24 @@ def _finite(name: str, value: float) -> float:
 
 
 def normalize(
-    num_z: Polynomial, den_z: Polynomial, loop_rate_hz: float
+    num_z: Sequence[float], den_z: Sequence[float], loop_rate_hz: float
 ) -> DigitalFilterCoefficients:
-    """Divide N[z]/D[z] through by the leading D[z] coefficient.
+    """Divide N[z]/D[z], both descending, through by the leading D[z]
+    coefficient.
 
     Returns a_hat (scaled numerator, descending) and b_hat (negated scaled
     denominator tail, coefficients of z**(n-1) ... z**0).  Raises
+    ValueError when either side is empty or holds a non-finite
+    coefficient, FilterDesignError when the two lengths differ, and
     DegenerateLeadingCoefficientError when the leading coefficient is
     negligible next to the rest of D[z], or D[z] is zero.
     """
-    if num_z.declared_order != den_z.declared_order:
+    num, den = _as_finite_floats(num_z), _as_finite_floats(den_z)
+    if len(num) != len(den):
         raise FilterDesignError(
             "numerator and denominator must share a declared order "
-            f"({num_z.declared_order} != {den_z.declared_order})"
+            f"({len(num) - 1} != {len(den) - 1})"
         )
-    den = den_z.descending()
     lead = den[0]
     if not abs(lead) > DEGENERACY_RTOL * max(abs(v) for v in den):
         raise DegenerateLeadingCoefficientError(
@@ -178,14 +181,15 @@ def normalize(
             "continuous denominator vanishes at s = 2*f_l (try a different "
             "loop rate)"
         )
-    a_hat = tuple(v / lead for v in num_z.descending())
+    a_hat = tuple(v / lead for v in num)
     b_hat = tuple(-v / lead for v in den[1:])
     return DigitalFilterCoefficients(a_hat, b_hat, loop_rate_hz)
 
 
-def _horner_substitution(d: Sequence[float], two_fl: float) -> Polynomial:
+def _horner_substitution(d: Sequence[float], two_fl: float) -> list[float]:
     """One side of the stepwise route: p(s), as its padded descending
-    coefficients d, -> p's z-domain polynomial.
+    coefficients d, -> the descending coefficients of p's z-domain
+    polynomial.
 
     With d[k] the coefficient of s**(n-k), dividing by s**n and
     substituting s = 2*f_l/x turns p into sum(d[k] / (2*f_l)**k * x**k);
@@ -201,10 +205,10 @@ def _horner_substitution(d: Sequence[float], two_fl: float) -> Polynomial:
         w.append(c / scale)
         scale *= two_fl
     w = taylor_shift(w[::-1], 1.0)[::-1]
-    return Polynomial.from_descending(taylor_shift(scale_argument(w, 0.5), -1.0))
+    return taylor_shift(scale_argument(w, 0.5), -1.0)
 
 
-def _direct_substitution(c: Sequence[float], two_fl: float) -> Polynomial:
+def _direct_substitution(c: Sequence[float], two_fl: float) -> list[float]:
     # N[z] = sum_k c_k (2 f_l)^(n-k) (z-1)^(n-k) (z+1)^k with c_k the padded
     # descending coefficients; the (z+1)^n common factor has already been
     # multiplied through.  np.poly expands each product from its roots.
@@ -214,13 +218,13 @@ def _direct_substitution(c: Sequence[float], two_fl: float) -> Polynomial:
         factor = c[k] * two_fl ** (n - k)
         if factor != 0.0:
             total += factor * np.poly([1.0] * (n - k) + [-1.0] * k)
-    return Polynomial.from_descending(total.tolist())
+    return total.tolist()
 
 
 def _design(
     tf: ContinuousTransferFunction,
     loop_rate_hz: float,
-    substitute: Callable[[Sequence[float], float], Polynomial],
+    substitute: Callable[[Sequence[float], float], list[float]],
 ) -> DigitalFilterCoefficients:
     n = tf.order
     two_fl = 2.0 * _positive("loop rate", loop_rate_hz, NonPositiveRateError)
@@ -236,7 +240,7 @@ def _design(
             f"loop rate {loop_rate_hz!r} Hz is out of float64 range for order {n}"
         )
     # The numerator's coefficients zero-padded to order n, descending.
-    num_z = substitute((tf.numerator.coeffs + (0.0,) * n)[n::-1], two_fl)
+    num_z = substitute(((0.0,) * n + tf.numerator.descending())[-(n + 1):], two_fl)
     den_z = substitute(tf.denominator.descending(), two_fl)
     return normalize(num_z, den_z, loop_rate_hz)
 

@@ -1,19 +1,22 @@
 """Dense univariate real polynomials and the stepwise Tustin route's steps.
 
-This module holds the :class:`Polynomial` container and two steps of the
-paper's Horner pipeline, :func:`taylor_shift` and :func:`scale_argument`.
-The steps work in place on one plain list of descending coefficients, not
-on Polynomial objects: ``discretize._horner_substitution`` runs the whole
-pipeline on that list, reverses it with a slice, and builds a Polynomial
-once at the end, where the coefficients are checked.  The direct route
-expands its products with numpy instead.
+This module holds the :class:`Polynomial` container, which stores the two
+sides of H(s), and two steps of the paper's Horner pipeline,
+:func:`taylor_shift` and :func:`scale_argument`.  The steps work in place
+on one plain list of descending coefficients, not on Polynomial objects:
+``discretize._horner_substitution`` runs the whole pipeline on that list
+and reverses it with a slice, and ``discretize.normalize`` checks the
+lists it receives with the same :func:`_as_finite_floats` as Polynomial.
+No Polynomial is built after H(s).  The direct route expands its products
+with numpy instead.
 
 Coefficients are stored in ascending power order: ``coeffs[k]`` multiplies
 ``x**k``.  The tuple always has ``declared_order + 1`` entries, so a
 polynomial of lower actual degree keeps its zero high-order coefficients.
-That padding is load-bearing: the coefficient reversal step of the design
-pipeline reverses over the full declared length, and trimming would
-silently change the result.
+That padding is load-bearing: the design pads the numerator to the
+denominator's order from the declared length, and the reversal step of
+the pipeline reverses over it, so trimming would silently change the
+result.
 
 Everything on the public surface of the package (constructors, printed
 coefficient lists, CLI) speaks the descending engineering convention

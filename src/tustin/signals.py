@@ -37,8 +37,8 @@ CHIRP_KINDS = ("linear", "exponential")
 class TimeSeries:
     """Uniformly sampled real signal.
 
-    Samples are stored as a read-only float64 array; ``t0`` is the time of
-    the first sample.  All samples must be finite.
+    Samples are stored as a read-only float64 copy; ``t0`` is the time of
+    the first sample.  ``t0`` and all samples must be finite.
     """
 
     sample_rate: float
@@ -47,16 +47,15 @@ class TimeSeries:
 
     def __post_init__(self) -> None:
         rate = _positive("sample rate", self.sample_rate)
-        data = np.asarray(self.samples, dtype=np.float64)
+        data = np.array(self.samples, dtype=np.float64)
         if data.ndim != 1 or data.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
         if not np.all(np.isfinite(data)):
             raise ValueError("samples must all be finite")
-        data = data.copy()
         data.flags.writeable = False
         object.__setattr__(self, "sample_rate", rate)
         object.__setattr__(self, "samples", data)
-        object.__setattr__(self, "t0", float(self.t0))
+        object.__setattr__(self, "t0", _finite("t0", self.t0))
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -137,14 +136,18 @@ def _step_angles(spec: ChirpSpec) -> np.ndarray:
 
 
 def chirp_quadrature(spec: ChirpSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Unit phasor states (cos_i, sin_i) of the sweep recursion."""
+    """Unit phasor states (cos_i, sin_i) of the sweep recursion.
+
+    Both are views of one complex array, its real and imaginary parts, so
+    neither is contiguous and either keeps the whole array alive.
+    """
     theta = _step_angles(spec)
     steps = np.empty(len(theta) + 1, dtype=complex)
     steps[0] = 1.0
     steps.real[1:] = np.cos(theta)
     steps.imag[1:] = np.sin(theta)
-    states = np.cumprod(steps)
-    return states.real.copy(), states.imag.copy()
+    np.cumprod(steps, out=steps)
+    return steps.real, steps.imag
 
 
 def generate_chirp(spec: ChirpSpec) -> TimeSeries:

@@ -145,28 +145,55 @@ def test_coefficient_container_validation():
 
 
 def test_normalize_rejects_mismatched_orders():
-    with pytest.raises(FilterDesignError):
-        normalize(Polynomial((1.0, 1.0)), Polynomial((1.0, 1.0, 1.0)), 10.0)
+    with pytest.raises(FilterDesignError, match=re.escape("declared order (1 != 2)")):
+        normalize([1.0, 1.0], [1.0, 1.0, 1.0], 10.0)
 
 
 def test_normalize_rejects_a_zero_denominator():
     # 0 < 1e-12 * 0 is false, so only a "not above" test catches this
     with pytest.raises(DegenerateLeadingCoefficientError):
-        normalize(Polynomial((1.0,)), Polynomial((0.0,)), 10.0)
+        normalize([1.0], [0.0], 10.0)
     with pytest.raises(DegenerateLeadingCoefficientError):
-        normalize(Polynomial((1.0, 2.0)), Polynomial((0.0, 0.0)), 10.0)
+        normalize([2.0, 1.0], [0.0, 0.0], 10.0)
+
+
+@pytest.mark.parametrize("num, den, message", [
+    ([], [1.0], "polynomial needs at least one coefficient"),
+    ([1.0], [], "polynomial needs at least one coefficient"),
+    ([1.0, float("nan")], [1.0, 1.0], "non-finite polynomial coefficient: nan"),
+    ([1.0, 1.0], [float("-inf"), 1.0], "non-finite polynomial coefficient: -inf"),
+])
+def test_normalize_rejects_an_empty_or_non_finite_side(num, den, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        normalize(num, den, 10.0)
+
+
+def test_normalize_takes_descending_sequences_not_polynomials():
+    with pytest.raises(TypeError):
+        normalize(Polynomial((1.0, 1.0)), Polynomial((1.0, 1.0)), 10.0)
 
 
 def test_normalize_worked_example():
     # N[z] = 2.5z + 2.5, D[z] = 7.5z - 2.5 is the lowpass walkthrough
-    got = normalize(
-        Polynomial.from_descending([2.5, 2.5]),
-        Polynomial.from_descending([7.5, -2.5]),
-        0.1,
-    )
+    got = normalize([2.5, 2.5], (7.5, -2.5), 0.1)
     third = 1.0 / 3.0
     assert got.a_hat == pytest.approx([third, third], abs=1e-15)
     assert got.b_hat == pytest.approx([third], abs=1e-15)
+
+
+@pytest.mark.parametrize("design", ROUTES)
+def test_designs_build_no_polynomial_after_h_of_s(design, monkeypatch):
+    h = tf([1.0, 2.0], [1.0, 3.0, 2.0])
+    built = []
+    post_init = Polynomial.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Polynomial, "__post_init__", counting)
+    design(h, 1000.0)
+    assert built == []
 
 
 def test_dc_gain():

@@ -220,7 +220,7 @@ def polynomial_route(tf, rate):
     n = tf.order
     num_z = substitute(((0.0,) * n + tf.numerator.descending())[-(n + 1):], 2.0 * rate)
     den_z = substitute(tf.denominator.descending(), 2.0 * rate)
-    return normalize(num_z, den_z, rate)
+    return normalize(num_z.descending(), den_z.descending(), rate)
 
 
 def roots_radii(coeffs):

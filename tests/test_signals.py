@@ -1,6 +1,7 @@
 """Signal generation: sweep laws, rotation recursion health, fixed sines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,12 @@ def test_time_series_names_a_rate_that_is_not_positive_and_finite(rate):
     message = f"^sample rate must be positive and finite, got {rate!r}$"
     with pytest.raises(ValueError, match=message):
         TimeSeries(rate, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("t0", [float("nan"), float("inf"), float("-inf")])
+def test_time_series_names_a_start_time_that_is_not_finite(t0):
+    with pytest.raises(ValueError, match=f"^t0 must be finite, got {t0!r}$"):
+        TimeSeries(1000.0, [1.0, 2.0], t0=t0)
 
 
 # -------------------------------------------------------------- sweep law
@@ -156,6 +163,21 @@ def test_quadrature_norm_stays_near_one():
     cos_s, sin_s = chirp_quadrature(s)
     norm_err = np.abs(cos_s * cos_s + sin_s * sin_s - 1.0)
     assert norm_err.max() <= 1e-9
+
+
+def test_quadrature_is_one_phasor_array_at_its_peak():
+    # numpy reports its buffers to tracemalloc: the steps' complex array,
+    # the angles and one temporary make 32 bytes a sample; copies of the
+    # two quadratures would add 16 more.
+    s = spec(duration=1000.0, rate=1000.0)  # 1e6 samples
+    tracemalloc.start()
+    try:
+        cos_s, sin_s = chirp_quadrature(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cos_s.base is sin_s.base is not None
+    assert peak <= 40 * sample_count(s)
 
 
 def accumulated_phase(s):
