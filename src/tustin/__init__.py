@@ -6,7 +6,9 @@ text, or from the catalog), convert it at a loop rate with
 with :class:`DigitalFilter`, or in batch with the block kernel
 :func:`filter_series` (or :func:`process`, the plain fold of ticks).  The
 signals and analysis modules generate test sweeps and measure the realized
-frequency response against the analytic curves.
+frequency response against the analytic curves; :func:`write_bode_csv`
+and :func:`read_bode_csv` keep a curve in a CSV file, which the reader
+takes by path or as a text stream.
 """
 
 from .analysis import (

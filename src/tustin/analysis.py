@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from collections import abc
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -245,12 +246,37 @@ def analytic_response_digital(
     return complex(_digital(coeffs, [omega])[0])
 
 
+def _unwrap(p: np.ndarray) -> np.ndarray:
+    """``np.unwrap(p)`` of a 1-D float64 array, bit for bit, in a new array.
+
+    numpy forms the correction mod(dp + pi, 2 pi) - pi - dp at every step
+    and zeroes it where |dp| < pi.  Here it is formed only where not
+    |dp| < pi, which catches nan too; elsewhere the running sum adds +0.0,
+    as numpy's does.
+    """
+    dp = np.diff(p)
+    jump = np.flatnonzero(~(np.abs(dp) < np.pi))
+    d = dp[jump]
+    wrapped = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
+    # numpy's choice at |dp| = pi: keep the sign of dp
+    wrapped[(wrapped == -np.pi) & (d > 0)] = np.pi
+    correction = np.zeros_like(dp)
+    correction[jump] = wrapped - d
+    up = p.copy()
+    up[1:] += np.cumsum(correction)
+    return up
+
+
 def _to_points(freqs_hz: Sequence[float], response: Sequence[complex]) -> ResponseCurve:
     h = np.asarray(response, dtype=complex)
+    table = np.empty((len(h), 3))
+    table[:, 0] = freqs_hz
+    mag_db = table[:, 1]
     with np.errstate(divide="ignore"):
-        mag_db = 20.0 * np.log10(np.abs(h))
-    phase_deg = np.degrees(np.unwrap(np.angle(h)))
-    return ResponseCurve(np.column_stack([np.asarray(freqs_hz, dtype=float), mag_db, phase_deg]))
+        np.log10(np.abs(h), out=mag_db)
+    mag_db *= 20.0
+    np.degrees(_unwrap(np.angle(h)), out=table[:, 2])
+    return ResponseCurve(table)
 
 
 def _table(points: Iterable[FrequencyResponsePoint]) -> np.ndarray:
@@ -513,6 +539,7 @@ def write_bode_csv(points: Iterable[FrequencyResponsePoint], fh: TextIO) -> None
     write_csv(fh, BODE_CSV_HEADER, [f, np.maximum(mag, MAGNITUDE_DB_FLOOR), ph])
 
 
-def read_bode_csv(fh: TextIO) -> ResponseCurve:
-    """Read a response curve written by write_bode_csv."""
-    return ResponseCurve(read_csv(fh, BODE_CSV_HEADER))
+def read_bode_csv(source: str | os.PathLike[str] | TextIO) -> ResponseCurve:
+    """Read a response curve written by write_bode_csv from a path or a
+    text stream, as :func:`tustin.csvio.read_csv` reads it."""
+    return ResponseCurve(read_csv(source, BODE_CSV_HEADER))

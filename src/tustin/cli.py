@@ -14,6 +14,7 @@ NONCAUSAL 3, DEGENERATE 4, RATE 5, anything else 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -285,8 +286,7 @@ def cmd_chirp(args: argparse.Namespace) -> int:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     coeffs, _ = read_coeff_file(args.coeffs)
-    with open(args.input) as fh:
-        table = read_csv(fh, SERIES_CSV_HEADER)
+    table = read_csv(args.input, SERIES_CSV_HEADER)
     if len(table) < 2:
         raise ValueError(f"{args.input}: need at least two samples")
     times, values = table[:, 0], table[:, 1]
@@ -360,11 +360,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for flag, limit in (("--max-db", args.max_db), ("--max-deg", args.max_deg)):
         if limit is not None and not limit >= 0.0:
             raise _UsageError(f"{flag} must be a number >= 0, got {limit}")
-    with open(args.curve_a) as fh:
-        a = read_bode_csv(fh)
-    with open(args.curve_b) as fh:
-        b = read_bode_csv(fh)
-    result = compare_responses(a, b)
+    result = compare_responses(read_bode_csv(args.curve_a), read_bode_csv(args.curve_b))
     print(f"points_compared = {result.points_compared}")
     print(f"max_abs_magnitude_db = {result.max_abs_magnitude_db:.9g}")
     print(f"mean_abs_magnitude_db = {result.mean_abs_magnitude_db:.9g}")
@@ -405,6 +401,9 @@ def _add_tf_source_arguments(p: argparse.ArgumentParser, with_family: bool) -> N
     p.add_argument("--pole-hz", type=float, help="leadlag pole, Hz")
 
 
+# Built at the first main() call of a process, not at import; parse_args
+# leaves the parser as it found it, so later calls share it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="tustin",

@@ -5,6 +5,11 @@ comma-separated floats printed with 9 significant digits (``%.9g``) and
 ending in ``\\n``.  Readers skip blank lines and report a wrong header, a
 wrong column count or a non-numeric field with the file name and line.
 
+The reader takes a path or a text stream.  numpy parses the body: given
+a path that names a regular file, it reads the file itself in large
+chunks; a stream, and a path to a pipe, a FIFO or a device, is iterated
+line by line through the open handle.
+
 The writer formats in numpy, about 8,192 values at a time so that every
 temporary stays in cache, and writes exactly the bytes of ``'%.9g' % x``:
 
@@ -31,6 +36,8 @@ temporary stays in cache, and writes exactly the bytes of ``'%.9g' % x``:
 from __future__ import annotations
 
 import io
+import os
+import stat
 import warnings
 from contextlib import suppress
 from typing import Sequence, TextIO
@@ -204,28 +211,56 @@ def write_csv(fh: TextIO, header: str, columns: Sequence[Sequence[float]]) -> No
         fh.write(text[text != 0].tobytes().decode("ascii"))
 
 
-def read_csv(fh: TextIO, header: str) -> np.ndarray:
+def read_csv(source: str | os.PathLike[str] | TextIO, header: str) -> np.ndarray:
     """Read a file written by :func:`write_csv`; rows x columns float64.
 
-    The column count comes from ``header``.  numpy's parser reads the body;
-    where it fails or finds another column count (a line of spaces, a
-    non-numeric field, a short row, an empty body) the file is read again
-    from its start and scanned line by line, which skips blank lines or
+    ``source`` is a path or a text stream; errors name the path, or the
+    stream's ``name``.  The column count comes from ``header``.  numpy's
+    parser reads the body.  Given a path that names a regular file, numpy
+    reads the file itself, in large chunks; a stream, or a path to a pipe,
+    a FIFO or a device, is iterated line by line through the open handle.
+    Both give the same table, bit for bit.  Where numpy fails or
+    finds another column count (a line of spaces, a non-numeric field, a
+    short row, an empty body) the file is read again from its start and
+    scanned line by line through the handle, which skips blank lines or
     names the error.  A stream that cannot seek, such as a pipe, is read
     into memory first for that rescan.
     """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source) as fh:
+            return _read(fh, header, os.path.abspath(source))
+    return _read(source, header, None)
+
+
+# Names that numpy's loadtxt opens through a decompressor: a plain file so
+# named is read through its handle.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _read(fh: TextIO, header: str, path: str | None) -> np.ndarray:
+    # path is the absolute path fh was opened from, or None for a stream;
+    # absolute, so that numpy never takes it for a URL.
     name = getattr(fh, "name", "<stream>")
     if not fh.seekable():
-        fh = io.StringIO(fh.read())
+        fh, path = io.StringIO(fh.read()), None
     got = fh.readline().strip()
     if got != header:
         raise ValueError(f"{name}: expected header {header!r}, got {got!r}")
     ncols = header.count(",") + 1
-    with suppress(ValueError), warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        if table.shape[1:] == (ncols,):
-            return table
+    own = None if path is None else os.fstat(fh.fileno())
+    if own is None or not stat.S_ISREG(own.st_mode) or path.endswith(_COMPRESSED):
+        table = _parse(fh, ncols)
+    else:
+        # numpy opens the path again and reads it from its start.  If the
+        # path no longer names the file fh has open, fh's body is read.
+        try:
+            table = _parse(path, ncols, skiprows=1)
+        except OSError:
+            table = None
+        if not _names(path, own):
+            table = _parse(fh, ncols)
+    if table is not None:
+        return table
     fh.seek(0)
     fh.readline()
     values: list[float] = []
@@ -242,6 +277,26 @@ def read_csv(fh: TextIO, header: str) -> np.ndarray:
         except ValueError:
             raise ValueError(f"{name}:{lineno}: non-numeric field") from None
     return np.array(values, dtype=np.float64).reshape(-1, ncols)
+
+
+def _parse(body: str | TextIO, ncols: int, skiprows: int = 0) -> np.ndarray | None:
+    # numpy's parse of a path or of a handle from its position; None where
+    # it fails or finds another column count.
+    with suppress(ValueError), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, skiprows=skiprows)
+        if table.shape[1:] == (ncols,):
+            return table
+    return None
+
+
+def _names(path: str, own: os.stat_result) -> bool:
+    # Whether path names the file that own describes: the same device and
+    # inode.
+    try:
+        return os.path.samestat(os.stat(path), own)
+    except OSError:
+        return False
 
 
 def _number(field: str) -> float:

@@ -1018,6 +1018,70 @@ def test_help_returns_0_and_lists_the_subcommands_flags(capsys, monkeypatch, com
     assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", *flags.split()}
 
 
+# ------------------------------------------------------------- the parser
+
+
+@pytest.fixture
+def fresh_parser():
+    # main() builds its parser at the first call of a process only; these
+    # tests start from none and leave none behind.
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch, fresh_parser):
+    built = []
+
+    class Counted(cli._ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "tustin":
+                built.append(self)
+
+    monkeypatch.setattr(cli, "_ArgumentParser", Counted)
+    assert run(capsys, "design", "lowpass1", "--cutoff-hz", "1", "--rate", "100")[0] == 0
+    assert run(capsys, "design", "lowpass1", "--rate", "100")[0] == 2
+    assert run(capsys, "--help")[0] == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("commands, codes", [
+    # a flag one bode method read does not carry over to the next
+    ([["bode", "--method", "stepped", "--coeffs", "{coeffs}", "--points", "40"],
+      ["bode", "--method", "chirp", "--coeffs", "{coeffs}", "--duration", "1", "--points", "40"]],
+     [0, 2]),
+    # nor does a design source, nor the family left out before
+    ([["design", "--tf", "1/(s+1)", "--rate", "100"],
+      ["design", "lowpass1", "--cutoff-hz", "1", "--rate", "100"],
+      ["design", "lowpass1", "--cutoff-hz", "1", "--tf", "1/(s+1)", "--rate", "100"],
+      ["design", "--cutoff-hz", "1", "--rate", "100"],
+      ["design", "--num", "1", "--den", "1,1", "--rate", "100"]],
+     [0, 0, 2, 2, 0]),
+], ids=["bode", "design"])
+def test_each_call_parses_as_in_a_fresh_process(capsys, fresh_parser, butter_file, commands, codes):
+    commands = [[a.format(coeffs=butter_file) for a in argv] for argv in commands]
+    capsys.readouterr()  # the design that wrote butter_file
+    shared = [run(capsys, *argv) for argv in commands]
+    fresh = []
+    for argv in commands:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == codes
+    if commands[0][0] == "bode":
+        assert shared[1][2] == "error[ARGS]: method 'chirp' does not take --points\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["filter", "--help"]], ids=["tustin", "filter"])
+def test_help_prints_the_same_text_each_time(capsys, monkeypatch, fresh_parser, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    first = run(capsys, *argv)
+    assert first[0] == 0 and first[1].startswith("usage: tustin")
+    assert run(capsys, *argv) == first
+    assert run(capsys, *argv) == first
+
+
 # ----------------------------------------------------------- time column
 
 

@@ -2,7 +2,10 @@
 
 import io
 import math
+import os
+import threading
 import tracemalloc
+from contextlib import suppress
 
 import numpy as np
 import pytest
@@ -147,46 +150,88 @@ def named(text, name="curve.csv"):
     return fh
 
 
-def test_reader_skips_blank_lines_and_outer_whitespace():
-    got = read_csv(named(HEADER + "\n1,2,3\n\n  \n 4,5 ,6 \n"), HEADER)
+@pytest.fixture
+def read(tmp_path, monkeypatch):
+    """read_csv of a text by a file's path and as a stream of that name.
+
+    The two must give the same table, bit for bit, or the same error
+    message; the table is returned, the error raised.
+    """
+    monkeypatch.chdir(tmp_path)
+
+    def read(text, name="curve.csv"):
+        with open(name, "w", newline="") as fh:
+            fh.write(text)
+        outcomes = []
+        for source in (name, named(text, name)):
+            try:
+                outcomes.append(read_csv(source, HEADER))
+            except ValueError as e:
+                outcomes.append(str(e))
+        by_path, by_stream = outcomes
+        if isinstance(by_path, str) or isinstance(by_stream, str):
+            assert by_path == by_stream
+            raise ValueError(by_path)
+        assert by_path.shape == by_stream.shape
+        assert by_path.tobytes() == by_stream.tobytes()
+        return by_path
+
+    return read
+
+
+def test_reader_skips_blank_lines_and_outer_whitespace(read):
+    got = read(HEADER + "\n1,2,3\n\n  \n 4,5 ,6 \n")
     assert got.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
 
 
-def test_reader_accepts_an_empty_body():
-    assert read_csv(named(HEADER + "\n"), HEADER).shape == (0, 3)
+def test_reader_accepts_an_empty_body(read):
+    assert read(HEADER + "\n").shape == (0, 3)
 
 
-def test_reader_names_file_and_line():
+def test_reader_names_file_and_line(read):
     with pytest.raises(ValueError, match=r"^curve\.csv: expected header"):
-        read_csv(named("x,y,z\n1,2,3\n"), HEADER)
+        read("x,y,z\n1,2,3\n")
     with pytest.raises(ValueError, match=r"^curve\.csv:4: expected 3 columns, got 2"):
-        read_csv(named(HEADER + "\n1,2,3\n\n4,5\n"), HEADER)
+        read(HEADER + "\n1,2,3\n\n4,5\n")
     with pytest.raises(ValueError, match=r"^curve\.csv:3: non-numeric field"):
-        read_csv(named(HEADER + "\n1,2,3\n4,five,6\n7,8\n"), HEADER)
+        read(HEADER + "\n1,2,3\n4,five,6\n7,8\n")
 
 
-def test_reader_reports_the_first_bad_line_of_either_kind():
+def test_reader_reports_the_first_bad_line_of_either_kind(read):
     # a column-count error after a non-numeric one: the earlier line wins
     with pytest.raises(ValueError, match=r":2: non-numeric field"):
-        read_csv(named(HEADER + "\n1,x,3\n4,5\n"), HEADER)
+        read(HEADER + "\n1,x,3\n4,5\n")
     # and the other way round
     with pytest.raises(ValueError, match=r":2: expected 3 columns"):
-        read_csv(named(HEADER + "\n1,2,3,4\n4,x,6\n"), HEADER)
+        read(HEADER + "\n1,2,3,4\n4,x,6\n")
 
 
-def test_reader_rejects_rows_that_only_balance_overall():
+def test_reader_rejects_rows_that_only_balance_overall(read):
     # 2 + 4 fields add up to two rows of 3 but neither row has 3
     with pytest.raises(ValueError, match=r":2: expected 3 columns, got 2"):
-        read_csv(named(HEADER + "\n1,2\n3,4,5,6\n"), HEADER)
+        read(HEADER + "\n1,2\n3,4,5,6\n")
 
 
-def test_reader_accepts_a_body_of_blank_lines():
-    assert read_csv(named(HEADER + "\n\n  \n\n"), HEADER).shape == (0, 3)
+def test_reader_accepts_a_body_of_blank_lines(read):
+    assert read(HEADER + "\n\n  \n\n").shape == (0, 3)
 
 
-def test_reader_rejects_rows_that_all_have_another_column_count():
+def test_reader_rejects_rows_that_all_have_another_column_count(read):
     with pytest.raises(ValueError, match=r"^curve\.csv:2: expected 3 columns, got 4"):
-        read_csv(named(HEADER + "\n1,2,3,4\n5,6,7,8\n"), HEADER)
+        read(HEADER + "\n1,2,3,4\n5,6,7,8\n")
+
+
+def test_reader_gives_a_large_table_by_path_as_by_stream(read):
+    # Many of numpy's read chunks, every kind of field the writer prints,
+    # and a last row without its newline.
+    rng = np.random.default_rng(7)
+    values = rng.integers(0, 2**64, 300_000, dtype=np.uint64).view(np.float64)
+    values[::97] = np.tile([0.0, -0.0, np.nan, np.inf, -np.inf], 619)[:len(values[::97])]
+    buf = io.StringIO()
+    write_csv(buf, HEADER, list(values.reshape(-1, 3).T))
+    got = read(buf.getvalue().rstrip("\n"))
+    want = np.array([float(f"{v:.9g}") for v in values.tolist()]).reshape(-1, 3)
+    assert got.tobytes() == want.tobytes()
 
 
 class Pipe(io.StringIO):
@@ -222,13 +267,14 @@ def test_reader_skips_a_line_of_spaces_in_a_stream_that_cannot_seek():
 
 @pytest.mark.parametrize("field", ["1_0", "\uff11", "\u0663"])
 @pytest.mark.parametrize("spaces", ["", "   \n"], ids=["", "line-of-spaces"])
-def test_reader_refuses_what_numpys_parser_refuses(field, spaces):
+def test_reader_refuses_what_numpys_parser_refuses(read, field, spaces):
     # float() reads each of these; the scan after numpy fails must not
     text = f"{HEADER}\n{spaces}1,2,3\n4,{field},6\n"
     line = 4 if spaces else 3
-    for fh in (named(text), Pipe(text)):
-        with pytest.raises(ValueError, match=rf"^(curve\.csv|<stream>):{line}: non-numeric field$"):
-            read_csv(fh, HEADER)
+    with pytest.raises(ValueError, match=rf"^curve\.csv:{line}: non-numeric field$"):
+        read(text)
+    with pytest.raises(ValueError, match=rf"^<stream>:{line}: non-numeric field$"):
+        read_csv(Pipe(text), HEADER)
 
 
 class NoRescan(io.StringIO):
@@ -243,3 +289,111 @@ class NoRescan(io.StringIO):
 def test_reader_parses_well_formed_input_in_one_pass():
     got = read_csv(NoRescan(HEADER + "\n1,2,3\n-4e5,nan,inf\n"), HEADER)
     assert got.tobytes() == np.array([[1.0, 2.0, 3.0], [-4e5, np.nan, np.inf]]).tobytes()
+
+
+# ------------------------------------------------------- reading by path
+
+
+def loadtxt_spy(monkeypatch, before=None):
+    """Record what numpy's loadtxt is given; ``before(path)`` runs ahead of
+    each read by path."""
+    real, seen = np.loadtxt, []
+
+    def spy(body, *args, **kwargs):
+        seen.append(body)
+        if before is not None and isinstance(body, str):
+            before(body)
+        return real(body, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return seen
+
+
+TEXT = HEADER + "\n1,2,3\n-4e5,nan,inf\n"
+TABLE = np.array([[1.0, 2.0, 3.0], [-4e5, np.nan, np.inf]])
+
+
+def test_reader_hands_numpy_the_path_of_a_regular_file(tmp_path, monkeypatch):
+    path = tmp_path / "curve.csv"
+    path.write_text(TEXT)
+    seen = loadtxt_spy(monkeypatch)
+    for source in (str(path), path):
+        assert read_csv(source, HEADER).tobytes() == TABLE.tobytes()
+    assert seen == [str(path)] * 2
+    seen.clear()
+    with open(path) as fh:
+        read_csv(fh, HEADER)
+    assert [type(body) for body in seen] == [type(fh)]
+
+
+def test_reader_reads_a_plain_file_named_like_a_compressed_one(tmp_path, monkeypatch):
+    # numpy would open these names through a decompressor
+    seen = loadtxt_spy(monkeypatch)
+    for suffix in (".gz", ".bz2", ".xz", ".lzma"):
+        path = tmp_path / f"curve.csv{suffix}"
+        path.write_text(TEXT)
+        assert read_csv(str(path), HEADER).tobytes() == TABLE.tobytes()
+    assert not any(isinstance(body, str) for body in seen)
+
+
+def test_reader_reads_a_fifo_once_through_its_handle(tmp_path):
+    # A second open of a FIFO, or of /dev/stdin on a pipe, would start
+    # where the first handle's buffer ended, not at the first row.
+    fifo = tmp_path / "sweep.csv"
+    os.mkfifo(fifo)
+    rows = np.arange(60_000.0).reshape(-1, 3)
+    buf = io.StringIO()
+    write_csv(buf, HEADER, list(rows.T))
+
+    def feed():
+        with suppress(BrokenPipeError), open(fifo, "w") as fh:
+            fh.write(buf.getvalue())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        got = read_csv(str(fifo), HEADER)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("change", ["replaced", "removed"])
+def test_reader_reads_its_own_handle_when_the_path_moves_on(tmp_path, monkeypatch, change):
+    # The path names another file, or none, by the time numpy opens it:
+    # the body is still that of the file whose header was read.
+    path = tmp_path / "curve.csv"
+    path.write_text(TEXT)
+
+    def move_on(name):
+        if change == "replaced":
+            other = tmp_path / "other.csv"
+            other.write_text(HEADER + "\n7,8,9\n")
+            os.replace(other, name)
+        else:
+            os.remove(name)
+
+    seen = loadtxt_spy(monkeypatch, move_on)
+    assert read_csv(str(path), HEADER).tobytes() == TABLE.tobytes()
+    assert isinstance(seen[0], str) and not isinstance(seen[-1], str)
+
+
+def test_reader_reads_its_own_handle_when_the_inode_differs(tmp_path, monkeypatch):
+    path = tmp_path / "curve.csv"
+    path.write_text(TEXT)
+    real_stat = os.stat
+
+    def stat(name, *args, **kwargs):
+        st = real_stat(name, *args, **kwargs)
+        if os.fspath(name) != str(path):
+            return st
+        fields = list(st)
+        fields[1] += 1  # st_ino
+        return os.stat_result(fields)
+
+    monkeypatch.setattr(os, "stat", stat)
+    seen = loadtxt_spy(monkeypatch)
+    assert read_csv(str(path), HEADER).tobytes() == TABLE.tobytes()
+    assert [type(body) for body in seen[:1]] == [str]
+    assert len(seen) == 2 and hasattr(seen[1], "read")

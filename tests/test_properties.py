@@ -734,6 +734,32 @@ def test_curves_and_files_are_the_dataclass_route_bitwise(tf, grid, spec):
         assert point_bits(back) == point_bits(want_back), name
 
 
+# Runs of phases: single values, nan, +-inf and -0.0 among them, and pairs
+# a step apart.  From an anchor j/8 in [-6/8, 6/8], a step of +-pi lands
+# exactly, so the pair's difference is +-pi itself, where np.unwrap keeps
+# the sign of the step; steps of 2 pi k wrap to about 0.
+phase_steps = st.sampled_from([math.pi, -math.pi]) | st.integers(-4, 4).map(
+    lambda k: 2.0 * math.pi * k)
+phase_values = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+phase_pairs = st.tuples(st.integers(-6, 6).map(lambda j: j / 8.0), phase_steps).map(
+    lambda a: [a[0], a[0] + a[1]])
+phase_runs = st.lists(phase_values.map(lambda v: [v]) | phase_pairs, max_size=20).map(
+    lambda parts: np.array([v for part in parts for v in part], dtype=float))
+
+
+@given(phase_runs)
+@example(np.array([]))
+@example(np.array([-0.0]))
+@example(np.array([0.0, math.pi, 0.0, -math.pi, -0.0]))
+@example(np.array([math.pi, 2.0 * math.pi, math.nan, 1.0, math.inf, -math.inf, -0.0]))
+def test_unwrap_is_numpys_bitwise(p):
+    with np.errstate(invalid="ignore"):
+        got, want = analysis._unwrap(p), np.unwrap(p)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, p)
+
+
 finite_points = st.builds(FrequencyResponsePoint, finite_coeffs, finite_coeffs, finite_coeffs)
 
 
