@@ -7,7 +7,11 @@ Three independent views of the same filter are available:
 * measured responses, by stepped-sine fitting or as a chirp's spectral ratio.
 
 Both analytic views are numpy's ``np.polyval(num, x) / np.polyval(den, x)``
-on the whole grid, bit for bit, with x = j*w or z^-1 = exp(-j*w*dt).
+on the whole grid, bit for bit, with x = j*w or z^-1 = exp(-j*w*dt).  They
+run polyval's Horner loop as their own, without its per-call overhead, and
+form each product y * x in a new array as polyval does: numpy multiplies
+complex arrays in place by another path, which rounds some values
+differently.
 
 The measured views know their input exactly.  Stepped sine fits only the
 filter output, by least squares against the probe sine itself.  The chirp
@@ -124,6 +128,15 @@ class ResponseCurve(abc.Sequence):
         t.flags.writeable = False
         self.table = t
 
+    @classmethod
+    def _adopt(cls, table: np.ndarray) -> "ResponseCurve":
+        # The curve of a fresh N x 3 float64 table that no one else holds,
+        # taken as it is: the evaluators' own tables skip the copy.
+        table.flags.writeable = False
+        curve = object.__new__(cls)
+        curve.table = table
+        return curve
+
     def __len__(self) -> int:
         return len(self.table)
 
@@ -179,8 +192,9 @@ def _one_dimensional(grid: Sequence[float]) -> np.ndarray:
 
 def _checked_omegas(omega: Sequence[float]) -> np.ndarray:
     w = _one_dimensional(omega)
-    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
-    if bad.size:
+    # Two reductions pass a good grid; the scan only names the bad value.
+    if not (np.isfinite(w).all() and (w > 0.0).all()):
+        bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
         raise ValueError(
             f"omega must be positive and finite, got {w[bad[0]].item()!r}"
         )
@@ -189,7 +203,10 @@ def _checked_omegas(omega: Sequence[float]) -> np.ndarray:
 
 def _below_nyquist(omega: np.ndarray, rate_hz: float, what: str) -> None:
     # Raises AboveNyquistError naming the first omega at or above pi * rate.
+    # A nan is neither below nor above: it fails the reduction, not the scan.
     nyquist = math.pi * rate_hz
+    if (omega < nyquist).all():
+        return
     above = np.flatnonzero(omega >= nyquist)
     if above.size:
         raise AboveNyquistError(
@@ -198,16 +215,26 @@ def _below_nyquist(omega: np.ndarray, rate_hz: float, what: str) -> None:
         )
 
 
+def _horner(coeffs: Sequence[float], x: np.ndarray) -> np.ndarray:
+    # np.polyval(coeffs, x) bit for bit: its loop from zeros, each product in
+    # a new array (see the module docstring), without its argument handling.
+    y = np.zeros_like(x)
+    for c in coeffs:
+        y = y * x
+        y += c
+    return y
+
+
 def _rational(
     num: Sequence[float], den: Sequence[float], x: np.ndarray, w: np.ndarray,
     what: str,
 ) -> np.ndarray:
     # N(x)/D(x) on a whole grid, both polynomials descending in x.
-    d = np.polyval(den, x)
-    zero = np.flatnonzero(d == 0.0)
-    if zero.size:
+    d = _horner(den, x)
+    if not d.all():
+        zero = np.flatnonzero(d == 0.0)
         raise DenominatorZeroError(f"{what} vanishes at omega = {w[zero[0]].item()}")
-    return np.polyval(num, x) / d
+    return _horner(num, x) / d
 
 
 def _continuous(tf: ContinuousTransferFunction, omega: Sequence[float]) -> np.ndarray:
@@ -252,18 +279,30 @@ def _unwrap(p: np.ndarray) -> np.ndarray:
     numpy forms the correction mod(dp + pi, 2 pi) - pi - dp at every step
     and zeroes it where |dp| < pi.  Here it is formed only where not
     |dp| < pi, which catches nan too; elsewhere the running sum adds +0.0,
-    as numpy's does.
+    as numpy's does.  numpy adds that sum to p[1:] only, so p[0] keeps a
+    -0.0.  Before the first jump the sum is +0.0, so there the result is
+    p + 0.0, and the sum is formed from that jump on.  That holds while
+    every jump is finite: the sum of an inf or a nan may take another nan
+    operand in numpy's vector add than in a scalar one, so such a run is
+    summed along its whole length, as numpy sums it.
     """
-    dp = np.diff(p)
+    dp = p[1:] - p[:-1]  # np.diff(p)
     jump = np.flatnonzero(~(np.abs(dp) < np.pi))
+    up = p + 0.0
+    up[:1] = p[:1]
+    if not jump.size:
+        return up
     d = dp[jump]
     wrapped = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
     # numpy's choice at |dp| = pi: keep the sign of dp
     wrapped[(wrapped == -np.pi) & (d > 0)] = np.pi
-    correction = np.zeros_like(dp)
-    correction[jump] = wrapped - d
-    up = p.copy()
-    up[1:] += np.cumsum(correction)
+    if np.isfinite(d).all():
+        first = jump[0]
+    else:
+        first, up = 0, p.copy()
+    correction = np.zeros(dp.size - first)
+    correction[jump - first] = wrapped - d
+    up[first + 1:] += np.cumsum(correction)
     return up
 
 
@@ -275,8 +314,9 @@ def _to_points(freqs_hz: Sequence[float], response: Sequence[complex]) -> Respon
     with np.errstate(divide="ignore"):
         np.log10(np.abs(h), out=mag_db)
     mag_db *= 20.0
-    np.degrees(_unwrap(np.angle(h)), out=table[:, 2])
-    return ResponseCurve(table)
+    # np.angle(h) without its Python wrapper.
+    np.degrees(_unwrap(np.arctan2(h.imag, h.real)), out=table[:, 2])
+    return ResponseCurve._adopt(table)
 
 
 def _table(points: Iterable[FrequencyResponsePoint]) -> np.ndarray:

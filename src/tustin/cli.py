@@ -2,7 +2,8 @@
 
 Subcommands: design (continuous TF -> coefficient file), chirp (sweep CSV),
 filter (run a coefficient file over a CSV), bode (response curves by four
-methods) and compare (deviation between two curves).
+methods) and compare (deviation between two curves, or between a curve and
+the analytic response of a coefficient file at the curve's own frequencies).
 
 Frequencies on the command line are Hz; internal corner parameters use
 omega = 2*pi*f.  All outputs are deterministic: the same invocation writes
@@ -360,7 +361,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for flag, limit in (("--max-db", args.max_db), ("--max-deg", args.max_deg)):
         if limit is not None and not limit >= 0.0:
             raise _UsageError(f"{flag} must be a number >= 0, got {limit}")
-    result = compare_responses(read_bode_csv(args.curve_a), read_bode_csv(args.curve_b))
+    if (args.curve_b is None) == (args.coeffs is None):
+        raise _UsageError("give exactly one second curve: a CSV or --coeffs")
+    curve = read_bode_csv(args.curve_a)
+    if args.coeffs is None:
+        other = read_bode_csv(args.curve_b)
+    else:
+        # The design's own response at the curve's frequencies: nothing to interpolate.
+        other = bode_digital(read_coeff_file(args.coeffs)[0], curve.table[:, 0])
+    result = compare_responses(curve, other)
     print(f"points_compared = {result.points_compared}")
     print(f"max_abs_magnitude_db = {result.max_abs_magnitude_db:.9g}")
     print(f"mean_abs_magnitude_db = {result.mean_abs_magnitude_db:.9g}")
@@ -453,9 +462,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
     p.set_defaults(func=cmd_bode)
 
-    p = sub.add_parser("compare", help="deviation between two response CSVs")
+    p = sub.add_parser("compare", help="deviation between two response CSVs, "
+                       "or between one and a design")
     p.add_argument("curve_a")
-    p.add_argument("curve_b")
+    p.add_argument("curve_b", nargs="?", help="second response CSV (or give --coeffs)")
+    p.add_argument("--coeffs", help="JSON coefficient file: compare with its analytic "
+                   "digital response at curve_a's frequencies")
     p.add_argument("--max-db", type=float, help="fail if magnitude deviation exceeds")
     p.add_argument("--max-deg", type=float, help="fail if phase deviation exceeds")
     p.set_defaults(func=cmd_compare)

@@ -27,7 +27,7 @@ temporary stays in cache, and writes exactly the bytes of ``'%.9g' % x``:
   the decade place them, the ninth digit, the ``.``, the ``0.0...`` of
   e in [-4, -1] and the ``e+-XX`` exponent of e < -4 or e > 8 in a 16-byte
   cell after a sign byte.  Bytes past the last printed digit are zeroed,
-  and one mask drops every zero byte of the chunk.
+  and ``bytes.translate`` deletes every zero byte of the chunk.
 - *Everything else* goes through ``'%.9g' % x``, CPython's correctly
   rounded conversion, one value at a time: +-0, nan and +-inf, decades
   outside [-14, 30], and values within 1e-6 of a tie.
@@ -207,8 +207,7 @@ def write_csv(fh: TextIO, header: str, columns: Sequence[Sequence[float]]) -> No
         block = np.column_stack([c[start:start + rows] for c in columns])
         k = len(block)
         words[:k, :, 0], words[:k, :, 1] = _cells(block)
-        text = table[:k].reshape(-1)
-        fh.write(text[text != 0].tobytes().decode("ascii"))
+        fh.write(table[:k].tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def read_csv(source: str | os.PathLike[str] | TextIO, header: str) -> np.ndarray:

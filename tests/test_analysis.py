@@ -269,6 +269,26 @@ def test_a_curve_is_read_only_and_its_array_is_a_writable_copy():
             back.table[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda grid: bode_continuous(catalog.butterworth2(TWO_PI * 10.0), grid),
+    lambda grid: bode_digital(BUTTER, grid),
+    lambda grid: stepped_sine_bode(BUTTER, grid),
+], ids=["continuous", "digital", "stepped"])
+def test_a_curve_shares_no_memory_with_its_grid(evaluate):
+    # The evaluators hand their own fresh table to the curve, uncopied; the
+    # grid passed in is only read, and the public constructor still copies.
+    grid = np.array([1.0, 10.0, 100.0])
+    curve = evaluate(grid)
+    assert not curve.table.flags.writeable
+    assert not np.shares_memory(curve.table, grid)
+    before = curve.table.copy()
+    grid[:] = 7.0
+    assert curve.table.tobytes() == before.tobytes()
+    rebuilt = ResponseCurve(curve.table)
+    assert not np.shares_memory(rebuilt.table, curve.table)
+    assert not rebuilt.table.flags.writeable and rebuilt == curve
+
+
 @pytest.mark.parametrize("table", [np.zeros((1, 6)), np.zeros(6), np.zeros((2, 3, 1)), []],
                          ids=["1x6", "flat", "3-d", "empty list"])
 def test_a_curve_is_built_only_from_an_n_by_3_table(table):

@@ -818,6 +818,65 @@ def test_compare_rejects_a_limit_no_deviation_can_exceed(capsys, tmp_path, flag,
     assert err == f"error[ARGS]: {flag} must be a number >= 0, got {float(limit)}\n"
 
 
+def test_compare_of_two_csvs_prints_what_it_printed(capsys, tmp_path):
+    # The second curve interpolated onto the first one's grid, as before
+    # --coeffs was added; these lines are pinned from that version.
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("freq_hz,magnitude_db,phase_deg\n1,0,0\n3,-1.5,-20\n10,-3,-45\n")
+    b.write_text("freq_hz,magnitude_db,phase_deg\n0.5,0.25,1\n5,-1,-30\n20,-6,-80\n")
+    code, out, err = run(capsys, "compare", str(a), str(b), "--max-db", "1", "--max-deg", "1")
+    assert (code, err) == (1, "")
+    assert out == (
+        "points_compared = 3\n"
+        "max_abs_magnitude_db = 0.777310937\n"
+        "mean_abs_magnitude_db = 0.467866144\n"
+        "max_abs_phase_deg = 10\n"
+        "mean_abs_phase_deg = 7.15153954\n"
+        "phase deviation exceeds 1 deg\n"
+    )
+
+
+@pytest.mark.parametrize("design", [
+    ["butter2", "--cutoff-hz", "10"],
+    ["notch", "--notch-hz", "50", "--q", "5"],
+    ["pid", "--kp", "1", "--ki", "3", "--kd", "0.5", "--tau", "300"],
+], ids=["butter2", "notch", "pid"])
+def test_compare_with_coeffs_reads_a_chirp_curve_at_its_own_bins(capsys, tmp_path, design):
+    # Against the design's own response at the curve's bins, a chirp curve
+    # reads its 9-digit rounding; against a 200-point analytic CSV, the
+    # interpolation of that grid (1e-4 dB for butter2).
+    coeffs, measured = tmp_path / "c.json", tmp_path / "m.csv"
+    assert main(["design", *design, "--rate", "1000", "--out", str(coeffs)]) == 0
+    assert main(["bode", "--method", "chirp", "--coeffs", str(coeffs), "--out", str(measured)]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "compare", str(measured), "--coeffs", str(coeffs),
+                         "--max-db", "1e-6", "--max-deg", "1e-5")
+    assert (code, err) == (0, ""), out
+    assert out.splitlines()[0] == f"points_compared = {len(read_curve(measured))}"
+
+
+@pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+def test_compare_takes_exactly_one_second_source(capsys, tmp_path, both, butter_file):
+    a, b = _curves(tmp_path, "1,3,0\n10,3,0\n")
+    second = [b, "--coeffs", str(butter_file)] if both else []
+    capsys.readouterr()
+    code, out, err = run(capsys, "compare", a, *second)
+    assert (code, out) == (2, "")
+    assert err == "error[ARGS]: give exactly one second curve: a CSV or --coeffs\n"
+
+
+def test_compare_with_coeffs_refuses_a_frequency_at_nyquist(capsys, tmp_path, butter_file):
+    a = tmp_path / "a.csv"
+    a.write_text("freq_hz,magnitude_db,phase_deg\n1,0,0\n500,0,0\n")
+    capsys.readouterr()
+    code, out, err = run(capsys, "compare", str(a), "--coeffs", str(butter_file))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error[INVALID]: omega = {2.0 * math.pi * 500.0} rad/s is not below the Nyquist "
+        f"angular frequency {math.pi * 1000.0} rad/s\n"
+    )
+
+
 # ------------------------------------------------------------ full pipeline
 
 
@@ -1009,7 +1068,7 @@ def test_coefficient_lists_need_both_flags(capsys, command):
     ("filter", "--coeffs --input --no-heuristic --out"),
     ("bode", "--method --tf --num --den --coeffs --fmin-hz --fmax-hz --points "
              "--duration --out"),
-    ("compare", "--max-db --max-deg"),
+    ("compare", "--coeffs --max-db --max-deg"),
 ], ids=["design", "chirp", "filter", "bode", "compare"])
 def test_help_returns_0_and_lists_the_subcommands_flags(capsys, monkeypatch, command, flags):
     monkeypatch.setenv("COLUMNS", "200")  # no line wrap inside a flag

@@ -752,12 +752,69 @@ phase_runs = st.lists(phase_values.map(lambda v: [v]) | phase_pairs, max_size=20
 @example(np.array([-0.0]))
 @example(np.array([0.0, math.pi, 0.0, -math.pi, -0.0]))
 @example(np.array([math.pi, 2.0 * math.pi, math.nan, 1.0, math.inf, -math.inf, -0.0]))
+@example(np.array([0.0] * 8 + [math.inf, math.nan]))
 def test_unwrap_is_numpys_bitwise(p):
     with np.errstate(invalid="ignore"):
         got, want = analysis._unwrap(p), np.unwrap(p)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert not np.shares_memory(got, p)
+
+
+# ------------------------------------------------------ analytic evaluators
+
+
+def polyval_table(freqs_hz, h):
+    # The curve table as numpy writes it: the steps of the evaluators'
+    # first vectorized form, on numpy's own angle and unwrap.
+    table = np.empty((len(h), 3))
+    table[:, 0] = freqs_hz
+    with np.errstate(divide="ignore"):
+        table[:, 1] = 20.0 * np.log10(np.abs(h))
+    table[:, 2] = np.degrees(np.unwrap(np.angle(h)))
+    return table
+
+
+@st.composite
+def evaluator_cases(draw):
+    # H(s) of orders 0-12, its design, and an unsorted grid below Nyquist
+    # that repeats one frequency.  A zero of either sign may lead both
+    # numerators, where polyval's first product meets it (prepended to
+    # H(s) where its order allows, on z^-n of the design), or be all of
+    # them, where its sign reaches the phase.
+    tf = draw(placed_transfer_functions())
+    coeffs = tustin_horner(tf, RATE)
+    num, den = tf.numerator.descending(), tf.denominator.descending()
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    where = draw(st.sampled_from(["nowhere", "leading", "everywhere"]))
+    if where == "leading":
+        if len(num) < len(den):
+            tf = ContinuousTransferFunction.from_descending([zero, *num], den)
+        coeffs = DigitalFilterCoefficients((*coeffs.a_hat[:-1], zero), coeffs.b_hat, RATE)
+    elif where == "everywhere":
+        tf = ContinuousTransferFunction.from_descending([zero] * len(num), den)
+        coeffs = DigitalFilterCoefficients((zero,) * len(coeffs.a_hat), coeffs.b_hat, RATE)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.sampled_from([1, 2, 3, 7, 17, 1000]))
+    grid = np.exp(rng.uniform(math.log(1e-2), math.log(0.4999 * RATE), size))
+    grid[rng.integers(size)] = grid[0]
+    return tf, coeffs, grid
+
+
+@settings(deadline=None)
+@given(evaluator_cases())
+def test_analytic_curves_are_the_polyval_ratio_bitwise(case):
+    tf, coeffs, grid = case
+    w = 2.0 * math.pi * grid
+    s = 1j * w
+    zinv = np.exp(-1j * w / RATE)
+    num, den = tf.numerator.descending(), tf.denominator.descending()
+    dden = [-b for b in reversed(coeffs.b_hat)] + [1.0]
+    want_c = polyval_table(grid, np.polyval(num, s) / np.polyval(den, s))
+    want_d = polyval_table(grid, np.polyval(coeffs.a_hat[::-1], zinv) / np.polyval(dden, zinv))
+    assert bode_continuous(tf, grid).table.tobytes() == want_c.tobytes()
+    assert bode_digital(coeffs, grid).table.tobytes() == want_d.tobytes()
+    assert bode_digital(coeffs, grid.tolist()).table.tobytes() == want_d.tobytes()
 
 
 finite_points = st.builds(FrequencyResponsePoint, finite_coeffs, finite_coeffs, finite_coeffs)
