@@ -31,8 +31,15 @@ read-only sequence of :class:`FrequencyResponsePoint` (a NamedTuple
 ``(freq_hz, magnitude_db, phase_deg)``) kept as its N x 3 float64 table in
 those columns, and serialize to/from a three-column CSV with the same
 columns.  The evaluators, the CSV writer and the comparison work on the
-table; a point is built only when it is read.  Magnitudes at exact
-transmission zeros are -inf in memory and clamp to -300 dB in files.
+table; a point is built only when it is read.  The writer and the
+comparison take any other points through the curve's constructor, the one
+N x 3 rule.  Magnitudes at exact transmission zeros are -inf in memory and
+clamp to -300 dB in files.
+
+The grid checks, an omega that is not positive and finite and one at or
+above the Nyquist frequency, each take one scan that names the first bad
+value.  The denominator check is the exception: ``all()`` passes a good
+grid faster than a scan, which runs only to name the zero.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ import operator
 import os
 from collections import abc
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -122,7 +129,14 @@ class ResponseCurve(abc.Sequence):
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, table: Sequence[Sequence[float]] | np.ndarray) -> None:
-        t = np.array(table, dtype=np.float64)
+        try:
+            t = np.array(table, dtype=np.float64)
+        except ValueError:
+            # Ragged rows have no float shape: name the shape numpy finds
+            # before them.  Any other bad value keeps numpy's message.
+            t = np.array(table, dtype=object)
+            if t.ndim == 2 and t.shape[1] == 3:
+                raise
         if t.ndim != 2 or t.shape[1] != 3:
             raise ValueError(f"a response curve is an N x 3 table, got shape {t.shape}")
         t.flags.writeable = False
@@ -192,9 +206,8 @@ def _one_dimensional(grid: Sequence[float]) -> np.ndarray:
 
 def _checked_omegas(omega: Sequence[float]) -> np.ndarray:
     w = _one_dimensional(omega)
-    # Two reductions pass a good grid; the scan only names the bad value.
-    if not (np.isfinite(w).all() and (w > 0.0).all()):
-        bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
+    bad = (~(np.isfinite(w) & (w > 0.0))).nonzero()[0]
+    if bad.size:
         raise ValueError(
             f"omega must be positive and finite, got {w[bad[0]].item()!r}"
         )
@@ -202,12 +215,13 @@ def _checked_omegas(omega: Sequence[float]) -> np.ndarray:
 
 
 def _below_nyquist(omega: np.ndarray, rate_hz: float, what: str) -> None:
-    # Raises AboveNyquistError naming the first omega at or above pi * rate.
-    # A nan is neither below nor above: it fails the reduction, not the scan.
+    """Refuse a 1-D grid of omegas that reaches the Nyquist angular frequency.
+
+    One scan finds every omega at or above pi * rate_hz; AboveNyquistError
+    names the first.  A nan is neither below nor above, so it passes.
+    """
     nyquist = math.pi * rate_hz
-    if (omega < nyquist).all():
-        return
-    above = np.flatnonzero(omega >= nyquist)
+    above = (omega >= nyquist).nonzero()[0]
     if above.size:
         raise AboveNyquistError(
             f"{what} = {omega[above[0]].item()} rad/s is not below the Nyquist "
@@ -276,18 +290,15 @@ def analytic_response_digital(
 def _unwrap(p: np.ndarray) -> np.ndarray:
     """``np.unwrap(p)`` of a 1-D float64 array, bit for bit, in a new array.
 
-    numpy forms the correction mod(dp + pi, 2 pi) - pi - dp at every step
-    and zeroes it where |dp| < pi.  Here it is formed only where not
-    |dp| < pi, which catches nan too; elsewhere the running sum adds +0.0,
-    as numpy's does.  numpy adds that sum to p[1:] only, so p[0] keeps a
-    -0.0.  Before the first jump the sum is +0.0, so there the result is
-    p + 0.0, and the sum is formed from that jump on.  That holds while
-    every jump is finite: the sum of an inf or a nan may take another nan
-    operand in numpy's vector add than in a scalar one, so such a run is
-    summed along its whole length, as numpy sums it.
+    numpy forms the correction mod(dp + pi, 2 pi) - pi - dp at every step,
+    zeroes it where |dp| < pi and adds its running sum to p[1:], so p[0]
+    keeps a -0.0.  Here the correction is formed only where not |dp| < pi,
+    which catches nan too, and is +0.0 elsewhere, as numpy's is; a run with
+    no such step adds nothing, so its result is p + 0.0.  The sum runs
+    along the whole run, as numpy's does.
     """
     dp = p[1:] - p[:-1]  # np.diff(p)
-    jump = np.flatnonzero(~(np.abs(dp) < np.pi))
+    jump = (~(np.abs(dp) < np.pi)).nonzero()[0]
     up = p + 0.0
     up[:1] = p[:1]
     if not jump.size:
@@ -296,13 +307,9 @@ def _unwrap(p: np.ndarray) -> np.ndarray:
     wrapped = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
     # numpy's choice at |dp| = pi: keep the sign of dp
     wrapped[(wrapped == -np.pi) & (d > 0)] = np.pi
-    if np.isfinite(d).all():
-        first = jump[0]
-    else:
-        first, up = 0, p.copy()
-    correction = np.zeros(dp.size - first)
-    correction[jump - first] = wrapped - d
-    up[first + 1:] += np.cumsum(correction)
+    correction = np.zeros(dp.size)
+    correction[jump] = wrapped - d
+    up[1:] += np.cumsum(correction)
     return up
 
 
@@ -320,13 +327,11 @@ def _to_points(freqs_hz: Sequence[float], response: Sequence[complex]) -> Respon
 
 
 def _table(points: Iterable[FrequencyResponsePoint]) -> np.ndarray:
-    # A curve's own table, or any other iterable of points as its N x 3
-    # table, also for N = 0.  np.array would look up the array protocols on
-    # every point (a tuple subclass); one pass over the run of fields takes
-    # about a sixth of that time.
+    # A curve's own table, or any other iterable of points as the table of
+    # the curve they make, 0 x 3 when there are none.
     if isinstance(points, ResponseCurve):
         return points.table
-    return np.fromiter(chain.from_iterable(points), float).reshape(-1, 3)
+    return ResponseCurve(list(points) or np.empty((0, 3))).table
 
 
 def bode_continuous(

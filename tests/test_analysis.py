@@ -5,6 +5,7 @@ import copy
 import io
 import math
 import pickle
+import re
 import struct
 
 import numpy as np
@@ -759,6 +760,43 @@ def test_csv_write_clamps_magnitude_floor():
     write_bode_csv([FrequencyResponsePoint(60.0, -1e9, 10.0)], buf)
     line = buf.getvalue().splitlines()[1]
     assert line == "60,-300,10"
+
+
+CURVE = [FrequencyResponsePoint(f, 0.0, 0.0) for f in (1.0, 2.0, 4.0)]
+
+
+@pytest.mark.parametrize("points, shape", [
+    ([(1.0, -3.0), (2.0, -6.0), (4.0, -9.0)], "(3, 2)"),
+    ([(1.0, -3.0, 5.0, 2.0, -6.0, 4.0)], "(1, 6)"),
+    ([(1.0, -3.0, 5.0), (2.0, -6.0)], "(2,)"),
+    ([(1.0, -3.0), (2.0, -6.0, 4.0)], "(2,)"),
+], ids=["pairs", "six-field point", "short last row", "short first row"])
+def test_points_that_are_no_n_by_3_table_are_refused_everywhere(points, shape):
+    # Not regrouped into rows of three: every reader of points refuses them
+    # as the curve's constructor does, ragged rows included.
+    message = f"^a response curve is an N x 3 table, got shape {re.escape(shape)}$"
+    with pytest.raises(ValueError, match=message):
+        ResponseCurve(points)
+    with pytest.raises(ValueError, match=message):
+        write_bode_csv(points, io.StringIO())
+    with pytest.raises(ValueError, match=message):
+        compare_responses(points, CURVE)
+    with pytest.raises(ValueError, match=message):
+        compare_responses(CURVE, iter(points))
+
+
+def test_a_field_that_is_no_number_keeps_numpys_message():
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        ResponseCurve([("1.0", "x", "2.0")])
+
+
+def test_csv_writer_takes_no_points_and_any_iterable_of_points():
+    buf = io.StringIO()
+    write_bode_csv([], buf)
+    assert buf.getvalue() == BODE_CSV_HEADER + "\n"
+    buf = io.StringIO()
+    write_bode_csv((p for p in CURVE), buf)
+    assert buf.getvalue() == BODE_CSV_HEADER + "\n1,0,0\n2,0,0\n4,0,0\n"
 
 
 def test_csv_reader_rejects_bad_input():

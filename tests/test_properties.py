@@ -753,6 +753,11 @@ phase_runs = st.lists(phase_values.map(lambda v: [v]) | phase_pairs, max_size=20
 @example(np.array([0.0, math.pi, 0.0, -math.pi, -0.0]))
 @example(np.array([math.pi, 2.0 * math.pi, math.nan, 1.0, math.inf, -math.inf, -0.0]))
 @example(np.array([0.0] * 8 + [math.inf, math.nan]))
+# the first jump late in a long run, a jump between the first two values,
+# and an inf and a nan jump after finite ones
+@example(np.array([0.1 * k for k in range(40)] + [-0.0, 0.5]))
+@example(np.array([-0.0, 4.0, 4.5, -5.0]))
+@example(np.array([0.0, 4.0, 8.0, 12.0, math.inf, 1.0, math.nan, 2.0, -math.inf]))
 def test_unwrap_is_numpys_bitwise(p):
     with np.errstate(invalid="ignore"):
         got, want = analysis._unwrap(p), np.unwrap(p)
