@@ -13,24 +13,32 @@ line by line through the open handle.
 The writer formats in numpy, about 8,192 values at a time so that every
 temporary stays in cache, and writes exactly the bytes of ``'%.9g' % x``:
 
-- *Significand.*  Take e = floor(log10|x|), corrected by one where the
-  scaled value falls outside [1e8, 1e9).  For e in [-14, 30], 10^|8-e| <=
-  10^22 is an exact float64, so q = |x|*10^(8-e), one multiplication or
-  division, is the exact t = |x|*10^(8-e) rounded once.  As q < 2^30,
-  |q - t| <= 2^-24.  So where q lies in [1e8, 1e9) and its fraction lies
-  more than 1e-6 from 1/2, n = rint(q) is the correctly rounded 9-digit
-  significand of x.  (A t a hair under 1e8 rounds to 1e9 of the decade
-  below, the same number.)  An n of 1e9 becomes 1e8 of the next decade.
-- *Digits.*  The first eight digits become ASCII bytes of one 64-bit word
-  by multiply-shift division within lanes (SWAR): 10^4 across the two
-  32-bit halves, then 100 and 10 across narrower lanes.  Tables indexed by
-  the decade place them, the ninth digit, the ``.``, the ``0.0...`` of
-  e in [-4, -1] and the ``e+-XX`` exponent of e < -4 or e > 8 in a 16-byte
-  cell after a sign byte.  Bytes past the last printed digit are zeroed,
-  and ``bytes.translate`` deletes every zero byte of the chunk.
+- *Significand.*  The sign and biased binary exponent of x, its top 12
+  bits, index a table of the decade estimate floor(k log10 2), k the
+  unbiased exponent.  floor(log10|x|) is that e or e + 1; one compare of
+  |x| against the next power of ten decides.  For e in [-300, 308],
+  10^(8-e) correctly rounded is a normal float64, so q = |x|*10^(8-e), one
+  multiplication, is the exact t = |x|*10^(8-e) rounded at most twice:
+  |q - t| < 2^-21.  So where q's fraction lies more than 1e-6 from 1/2,
+  n = rint(q) is the correctly rounded 9-digit significand of x.  t lies
+  in [1e8, 1e9) but for slivers at the decade's ends that the rounded
+  powers leave: a t a hair under 1e8 rounds to 1e9 of the decade below,
+  the same number, and an n of 1e9 is 1e8 of the next decade.
+- *Digits.*  Multiply-shift division splits n into 10 * top + d9 and top
+  into 10^4 * hi4 + lo4.  Tables of 10,000 entries give the ASCII digits
+  of hi4 and lo4 in bytes 0..3 and 4..7 of one word, and the position of
+  each group's last nonzero digit; their maximum with d9's gives d_j, the
+  last nonzero digit of the nine.  hi4 = 10^4, from an n of 1e9, reads as
+  1000 with j = 10.  The decade places the word's first p digits after a sign byte
+  and the rest, then d9, past a gap left for the ``.`` or ``0.0...``.
+  One xor from a table indexed by the signed decade and j writes the sign,
+  the gap and the ``e+-XX`` exponent of e < -4 or e > 8 into the 16-byte
+  cell and zeroes the digits after d_j (turns the cell into that of
+  10^(e+1) for j = 10); ``bytes.translate`` deletes every zero byte of
+  the chunk.
 - *Everything else* goes through ``'%.9g' % x``, CPython's correctly
-  rounded conversion, one value at a time: +-0, nan and +-inf, decades
-  outside [-14, 30], and values within 1e-6 of a tie.
+  rounded conversion, one value at a time: +-0, subnormals, nan and +-inf,
+  decades outside [-300, 308], and values within 1e-6 of a tie.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import os
 import stat
 import warnings
 from contextlib import suppress
+from functools import cache
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -48,58 +57,151 @@ import numpy as np
 # 64 KB, and stays in cache; whole-column temporaries do not.
 CHUNK_VALUES = 8192
 
-# Decades whose scaling power 10**|8 - e| is an exact float64.
-_LOW_E, _HIGH_E = -14, 30
-# Tables start one decade below the window, and a round-up reaches one above.
-_DECADES = range(_LOW_E - 1, _HIGH_E + 2)
+# Decades of the fast path: 10**(8 - e) is a finite normal float64.
+_LOW_E, _HIGH_E = -300, 308
+# The decade tables run from one decade below the window to one above it,
+# once for x >= 0 and then again for x < 0: u = e - _FIRST_E, plus _SPAN
+# where x < 0.
+_FIRST_E = _LOW_E - 1
+_SPAN = _HIGH_E + 2 - _FIRST_E
 # A row of cells: 16 bytes of text, zero-padded, and its "," or "\n".
 _CELL = 17
 _U64 = np.uint64
 
 
-def _tables():
-    """Per-decade constants, indexed by e - _DECADES.start.
+def _layout(e: int) -> tuple[int, str]:
+    """The whole digits and the gap of ``'%.9g'`` at decade e."""
+    if 0 <= e <= 8:
+        return e + 1, "." if e < 8 else ""
+    if -4 <= e < 0:
+        return 0, "0." + "0" * (-e - 1)
+    return 1, "."
 
-    The digit word holds d1..d8 in its bytes 0..7.  A cell is byte 0 for
-    the sign, then d1..dp, the gap (``.``, ``0.0...`` or nothing), the rest
-    of the digits, and the exponent in bytes 11..15; the cell's low and high
-    64-bit words are built separately.
+
+def _placed(e: int, digits: bytes) -> int:
+    """The cell ``_cells`` assembles from 9 digits at decade e, as an int:
+    a zero sign byte, the first p digits, a zero gap, the other digits."""
+    whole, gap = _layout(e)
+    p = min(whole, 8)
+    return int.from_bytes(b"\0" + digits[:p] + bytes(len(gap)) + digits[p:], "little")
+
+
+def _fix(e: int, j: int) -> int:
+    """What turns an assembled cell of decade e into the text of ``'%.9g'``,
+    xor-ed in, the sign and exponent left out: the gap if a digit follows
+    it, and the "0" of each digit after d_j, its last nonzero digit.  j = 10
+    stands for a significand rounded up to 10^9, the text of 10^(e+1)."""
+    if j == 10:
+        one = b"100000000"
+        return _placed(e, one) ^ _placed(e + 1, one) ^ _fix(e + 1, 1)
+    whole, gap = _layout(e)
+    p = min(whole, 8)
+    shown = max(j, whole)
+    fix = int.from_bytes(b"0" * (9 - shown), "little") << 8 * (shown + len(gap) + 1)
+    if shown > p:
+        fix |= int.from_bytes(gap.encode(), "little") << 8 * (p + 1)
+    return fix
+
+
+def _exponents(first: int, last: int) -> np.ndarray:
+    """``e+XX`` or ``e+XXX`` in bytes 3..7 of a word for e from first to
+    last, zero for e in [-4, 8]."""
+    e = np.arange(first, last + 1)
+    m = np.abs(e)
+    digits = (m // 10 % 10 + 48) | (m % 10 + 48) << 8
+    # three digits where m >= 100, that is where (m + 900) // 1000 is 1
+    wide = (m + 900) // 1000
+    digits += wide * (((m // 100 + 48) | digits << 8) - digits)
+    sign = ord("+") - 2 * (e >> 63)
+    word = ord("e") | sign << 8 | digits << 16
+    word[-4 - first:9 - first] = 0
+    return word.astype(_U64) << _U64(24)
+
+
+def _decade_tables():
+    """The tables ``_cells`` indexes by the top 12 bits of x, by u and by
+    11 * u + j.
+
+    With d1..d8 in bytes 0..7 of a word, a cell takes the p digits that
+    ``split`` keeps into bytes 1..p and the others, d9 included, ``shift``
+    bits further.  Its fix adds the sign and the exponent to ``_fix``.
     """
-    # nan outside the window, so that q fails its range check there
-    mul = [float(10 ** max(8 - e, 0)) if e >= _LOW_E else np.nan for e in _DECADES]
-    div = [float(10 ** max(e - 8, 0)) if e <= _HIGH_E else np.nan for e in _DECADES]
-    split, shl, gap_lo, gap_hi, exp_hi = ([] for _ in range(5))
-    keep = []
-    for e in _DECADES:
-        if 0 <= e <= 8:
-            whole, gap, exponent = e + 1, "." if e < 8 else "", ""
-        elif -4 <= e < 0:
-            whole, gap, exponent = 0, "0." + "0" * (-e - 1), ""
-        else:
-            whole, gap, exponent = 1, ".", "e%+03d" % e
-        # whole digits precede the point; the first p of them are in the word
-        p, g = min(whole, 8), len(gap)
-        split.append((1 << 8 * p) - 1)
-        shl.append(8 * (g + 1))
-        gap_bits = int.from_bytes(gap.encode(), "little") << 8 * (p + 1)
-        gap_lo.append(gap_bits & (2**64 - 1))
-        gap_hi.append(gap_bits >> 64)
-        exp_hi.append(int.from_bytes(exponent.encode(), "little") << 24)
-        # bytes kept, by 10 * (e - _DECADES.start) + j for the last nonzero
-        # digit d_j (j = 0 is unused)
-        for j in range(10):
-            shown = max(j, whole)
-            last = shown + g if shown > p else shown
-            keep.append((1 << 8 * (last + 1)) - 1)
-    keep_lo = [k & (2**64 - 1) for k in keep]
-    keep_hi = [k >> 64 for k in keep]
-    return (np.array(mul), np.array(div)) + tuple(
-        np.array(t, dtype=_U64)
-        for t in (split, shl, gap_lo, gap_hi, exp_hi, keep_lo, keep_hi)
+    bits = np.arange(4096)
+    biased = bits & 2047
+    # floor(log10 |x|) is e = floor(k log10 2), which the multiply-shift
+    # gives exactly for |k| <= 1100, or e + 1.  The clip sends zeros,
+    # subnormals and decades below the window to the bottom sentinel;
+    # infinities and nans go to the top one.
+    e = ((biased - 1023) * 78913) >> 18
+    e[2047::2048] = _HIGH_E + 1
+    decade = np.clip(e, _FIRST_E, _HIGH_E + 1) - _FIRST_E + _SPAN * (bits >> 11)
+
+    e = np.arange(_FIRST_E, _HIGH_E + 2)
+    # 10.0**k correctly rounded, inf past the largest float
+    first = 7 - _HIGH_E
+    power = np.array([float("1e%d" % k) for k in range(first, _HIGH_E + 3)])
+    # |x| moves up a decade where its bits exceed bump: those of 10^(e+1)
+    # less one, or the largest int64 in the top sentinel, which no |x|
+    # leaves
+    bump = power[e + 1 - first].view(np.int64) - 1
+    bump[-1] = np.iinfo(np.int64).max
+    # nan in the sentinels, so that their q fails the tie check
+    mul = power[8 - e - first]
+    mul[[0, -1]] = np.nan
+
+    # Decades -5..8 have layouts or round-ups of their own; the others share
+    # those of -6 or 9 but for the exponent
+    keys = range(-6, 10)
+    key = np.clip(e, keys.start, keys.stop - 1) - keys.start
+    split, shift = [], []
+    for k in keys:
+        whole, gap = _layout(k)
+        split.append((1 << 8 * min(whole, 8)) - 1)
+        shift.append(8 * (len(gap) + 1))
+    fix = [[_fix(k, j) for j in range(11)] for k in keys]
+    fix_lo = np.array([[f & (2**64 - 1) for f in row] for row in fix], _U64)[key]
+    fix_hi = np.array([[f >> 64 for f in row] for row in fix], _U64)[key]
+    fix_hi[:, :10] |= _exponents(_FIRST_E, _HIGH_E + 1)[:, None]
+    fix_hi[:, 10] |= _exponents(_FIRST_E + 1, _HIGH_E + 2)
+    fix_lo = np.concatenate([fix_lo, fix_lo | _U64(ord("-"))])
+    split = np.array(split, _U64)[key]
+    shift = np.array(shift, _U64)[key]
+    return (decade,) + tuple(
+        np.concatenate([t, t]) for t in (bump, mul, split, shift)
+    ) + (fix_lo.ravel(), np.concatenate([fix_hi, fix_hi]).ravel())
+
+
+def _digit_tables():
+    """The digit groups: 4 ASCII digits, by value, in bytes 0..3 and in
+    bytes 4..7, and the position of the group's last nonzero digit: 1..4
+    in the high group, 5..8 in the low group, 0 for 0000.  Entry 10000 of
+    the high group, a significand rounded up to 10^9, reads as 1000 with
+    position 10.  Last, the position of d9: 9, or 0 for d9 = 0."""
+    # axis i of the grids runs over the digit of weight 10^(3 - i)
+    d = np.arange(10)
+    grid = [d.reshape([10 if i == k else 1 for i in range(4)]) for k in range(4)]
+    text, last = 0, 0
+    for i, g in enumerate(grid):
+        text = text | (g + 48).astype(_U64) << _U64(8 * i)
+        last = np.maximum(last, (g > 0) * (i + 1))
+    text, last = text.ravel(), last.ravel()
+    return (
+        np.append(text, text[1000]),
+        text << _U64(32),
+        np.append(last, 10).astype(np.int8),
+        ((last + 4) * (last > 0)).astype(np.int8),
+        np.array([0] + [9] * 9, np.int8),
     )
 
 
-_MUL, _DIV, _SPLIT, _SHL, _GAP_LO, _GAP_HI, _EXP_HI, _KEEP_LO, _KEEP_HI = _tables()
+@cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The decade and digit tables, built at the first write, so that a
+    program that writes no CSV does not build them at import."""
+    tables = _decade_tables() + _digit_tables()
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,70 +209,50 @@ def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``x`` is a C-contiguous float64 array; both results have its shape.
     """
+    (decade, bump, mul, split, shifts, fix_lo, fix_hi,
+     high4, low4, last_high, last_low, last_d9) = _tables()
     a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.log10(a)
-        np.floor(e, out=e)
-        np.fmax(e, _LOW_E, out=e)
-        np.fmin(e, _HIGH_E, out=e)
-        u = e.astype(np.intp)
-        u -= _DECADES.start
-        q = a * _MUL.take(u)
-        q /= _DIV.take(u)
-        u += q >= 1e9
-        u -= q < 1e8
-        np.multiply(a, _MUL.take(u), out=q)
-        q /= _DIV.take(u)
-        n = np.rint(q)
-        ok = q >= 1e8
-        ok &= q < 1e9
-        np.subtract(q, n, out=a)
+    u = decade.take((x.view(_U64) >> _U64(52)).view(np.intp))
+    # u += (bits of |x| > bump), as bump - bits is negative
+    up = bump.take(u)
+    up -= a.view(np.int64)
+    up >>= 63
+    u -= up
+    with np.errstate(invalid="ignore"):
+        a *= mul.take(u)
+        n = np.rint(a)
+        a -= n
         np.abs(a, out=a)
-        # q is within 2**-24 of the exact t, so only a near-tie can round
+        # q is within 2**-21 of the exact t, so only a near-tie can round
         # the other way
-        ok &= a < 0.5 - 1e-6
-    bad = ~ok
-    n[bad] = 1e8  # any significand: '%' overwrites these cells
-    up = n >= 1e9
-    n[up] = 1e8
-    u += up
-    # d1..d8 in the bytes of one word, d1 first in memory; then d9
-    n = n.astype(_U64)
-    top = (n * _U64(0xCCCCCCCD)) >> _U64(35)
-    d9 = n - top * _U64(10)
-    h = (top * _U64(109951163)) >> _U64(40)
-    w = h + ((top - h * _U64(10000)) << _U64(32))
-    h = ((w * _U64(5243)) >> _U64(19)) & _U64(0x0000007F0000007F)
-    w = h + ((w - h * _U64(100)) << _U64(16))
-    h = ((w * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)
-    w = h + ((w - h * _U64(10)) << _U64(8))
-    # The last nonzero digit d_j: flag bit 8(j - 1) for each nonzero byte of
-    # the word and bit 62 for d9; the top flag's float exponent x gives
-    # j = (x + 10) >> 3, which is 9 for bit 62.
-    flags = ((w + _U64(0x7F7F7F7F7F7F7F7F)) & _U64(0x8080808080808080)) >> _U64(7)
-    flags |= ((d9 + _U64(15)) >> _U64(4)) << _U64(62)
-    keep = flags.view(np.int64).astype(np.float64).view(np.int64) >> 52
-    keep -= 1013
-    keep >>= 3
-    keep += u * 10
-    w += _U64(0x3030303030303030)
-    low = w & _SPLIT.take(u)
+        ok = a < 0.5 - 1e-6
+        n = n.astype(np.intp)
+    # n = 10 * top + d9 and top = 10^4 * hi4 + lo4.  A lane that failed
+    # holds any n: clipped, its indices stay in the tables, and '%'
+    # overwrites its cell.
+    top = (n * 0xCCCCCCCD) >> 35
+    d9 = n - top * 10
+    hi4 = (top * 109951163) >> 40
+    lo4 = top - hi4 * 10000
+    w = high4.take(hi4, mode="clip")
+    w |= low4.take(lo4, mode="clip")
+    # d_j is the last nonzero digit; j = 10 for an n of 10^9
+    j = np.maximum(last_high.take(hi4, mode="clip"), last_low.take(lo4, mode="clip"))
+    np.maximum(j, last_d9.take(d9, mode="clip"), out=j)
+    j = 11 * u + j
+    low = w & split.take(u)
     w ^= low
-    shift = _SHL.take(u)
-    lo = (x.view(_U64) >> _U64(63)) * _U64(ord("-"))
-    lo |= low << _U64(8)
+    shift = shifts.take(u)
+    lo = low << _U64(8)
     lo |= w << shift
-    lo |= _GAP_LO.take(u)
-    lo &= _KEEP_LO.take(keep)
+    lo ^= fix_lo.take(j)
     hi = low >> _U64(56)
     hi |= w >> (_U64(64) - shift)
-    d9 += _U64(ord("0"))
-    hi |= d9 << shift
-    hi |= _GAP_HI.take(u)
-    hi &= _KEEP_HI.take(keep)
-    hi |= _EXP_HI.take(u)
-    redo = np.flatnonzero(bad)
-    if redo.size:
+    d9 += 48
+    hi |= d9.view(_U64) << shift
+    hi ^= fix_hi.take(j)
+    if not ok.all():
+        redo = np.flatnonzero(~ok)
         text = np.array(["%.9g" % v for v in x.ravel()[redo].tolist()], dtype="S16")
         words = text.view("<u8").reshape(-1, 2)
         lo.ravel()[redo] = words[:, 0]

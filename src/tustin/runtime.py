@@ -53,10 +53,12 @@ RATE_RTOL = 1e-9
 # to 256.
 BLOCK_LEN = 128
 
-# Blocks per slice of the block products: their temporaries stay at 64 kB
-# however long the series (the scan holds n values per block).  On the benchmark's batch pipeline (2-CPU
-# x86_64), slices of 512 blocks and more ran no faster and left the process
-# up to 3 MB larger.
+# Blocks per slice of the block products.  One slice for the whole series
+# ran faster (butter2 at 1 kHz, 120k samples: 1.54-2.20 ms against
+# 1.81-2.56 ms on a 2-CPU x86_64), but it changed filter_series' output
+# bits on butter2, notch, leadlag and multiorder at 2M samples of noise
+# (they were equal at 1k and 120k).  64 stays while the outputs are held
+# byte-identical.
 SLICE_BLOCKS = 64
 
 # filter_series runs its blocks only while eps * ||O_y||_inf**2 stays at or

@@ -112,6 +112,43 @@ def test_writer_matches_bulk_percent_over_a_million_values():
         assert buf.getvalue() == header + "\n" + want
 
 
+def test_writer_is_percent_at_every_decade_digit_count_and_power_of_ten():
+    # A deterministic cover of the formatter's tables: every group of 4
+    # digits as the first and as the second group of the significand; the
+    # first and last float of every binary exponent; in every decade, 1 to
+    # 9 significant digits, the power of ten and the floats 3 ulps either
+    # side (where the decade estimate turns over), a value just past it, one
+    # that rounds up to the next decade, and near-ties at the 10th digit, 2
+    # ulps either side; and in decades -16..31, which reach every
+    # fixed-point layout, 1 to 9 digits with and without inner zeros after
+    # each leading digit (so every binade of the decade).
+    values = [g / 1000 for g in range(1000, 10000)]
+    values += [float(f"1.000{g:04d}") for g in range(10000)]
+    values += [math.ldexp(m, k) for k in range(-1074, 1024) for m in (1.0, 2.0 - 2**-52)]
+    for k in range(-324, 309):
+        values += [float(f"1.{'1' * j}e{k}") for j in range(9)]
+        values += around(float(f"1e{k}"), 3)
+        values += [float(f"1.00000001e{k}"), float(f"9.9999999996e{k}")]
+        for tie in ("1.234567895", "9.999999995", "1.000000005", "5.000000005"):
+            values += around(float(f"{tie}e{k}"), 2)
+    for k in range(-16, 32):
+        for m in range(1, 10):
+            for lead in range(1, 10):
+                full = "".join(str((lead + 7 * i) % 9 + 1) for i in range(m))
+                sparse = (str(lead) + "0" * (m - 2) + "7")[:m]
+                values += [float(f"{d[0]}.{d[1:]}e{k}") for d in (full, sparse)]
+    values = [v for v in values if math.isfinite(v)]
+    values += [-v for v in values]
+    table = as_rows(values)
+    buf = io.StringIO()
+    write_csv(buf, HEADER, [np.array([r[k] for r in table]) for k in range(3)])
+    got = buf.getvalue().split("\n")
+    want = [HEADER] + [f"{a:.9g},{b:.9g},{c:.9g}" for a, b, c in table] + [""]
+    # the first rows that differ, not a diff of the whole text
+    assert len(got) == len(want)
+    assert [(w, g) for w, g in zip(want, got) if w != g][:5] == []
+
+
 @pytest.mark.parametrize("header, columns, message", [
     ("a,b,c", [[1.0], [2.0]], r"^expected 3 columns for header 'a,b,c', got 2$"),
     ("a", [[1.0], [2.0]], r"^expected 1 columns for header 'a', got 2$"),

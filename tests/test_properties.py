@@ -758,8 +758,10 @@ phase_runs = st.lists(phase_values.map(lambda v: [v]) | phase_pairs, max_size=20
 @example(np.array([0.1 * k for k in range(40)] + [-0.0, 0.5]))
 @example(np.array([-0.0, 4.0, 4.5, -5.0]))
 @example(np.array([0.0, 4.0, 8.0, 12.0, math.inf, 1.0, math.nan, 2.0, -math.inf]))
+# a difference that overflows to -inf
+@example(np.array([1e308, -1e308]))
 def test_unwrap_is_numpys_bitwise(p):
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         got, want = analysis._unwrap(p), np.unwrap(p)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
