@@ -30,6 +30,7 @@ only H(s) is stored as :class:`tustin.polynomial.Polynomial`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -80,7 +81,7 @@ class ContinuousTransferFunction:
             raise NonCausalError(
                 f"numerator degree {m} exceeds denominator degree {n}"
             )
-        if self.denominator.descending()[0] == 0.0:
+        if self.denominator.coeffs[-1] == 0.0:
             raise FilterDesignError(
                 "leading denominator coefficient must be nonzero"
             )
@@ -122,16 +123,17 @@ class DigitalFilterCoefficients:
     loop_rate_hz: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a_hat", tuple(float(v) for v in self.a_hat))
-        object.__setattr__(self, "b_hat", tuple(float(v) for v in self.b_hat))
+        object.__setattr__(self, "a_hat", tuple(map(float, self.a_hat)))
+        object.__setattr__(self, "b_hat", tuple(map(float, self.b_hat)))
         if len(self.a_hat) != len(self.b_hat) + 1:
             raise FilterDesignError(
                 f"a_hat needs exactly one more entry than b_hat, got "
                 f"{len(self.a_hat)} and {len(self.b_hat)}"
             )
-        for v in self.a_hat + self.b_hat:
-            if not math.isfinite(v):
-                raise FilterDesignError(f"non-finite coefficient: {v!r}")
+        values = self.a_hat + self.b_hat
+        if not all(map(math.isfinite, values)):
+            bad = next(v for v in values if not math.isfinite(v))
+            raise FilterDesignError(f"non-finite coefficient: {bad!r}")
         _positive("loop rate", self.loop_rate_hz, NonPositiveRateError)
 
     @property
@@ -175,7 +177,7 @@ def normalize(
             f"({len(num) - 1} != {len(den) - 1})"
         )
     lead = den[0]
-    if not abs(lead) > DEGENERACY_RTOL * max(abs(v) for v in den):
+    if not abs(lead) > DEGENERACY_RTOL * max(map(abs, den)):
         raise DegenerateLeadingCoefficientError(
             "leading z-domain denominator coefficient is negligible; the "
             "continuous denominator vanishes at s = 2*f_l (try a different "
@@ -235,7 +237,7 @@ def _design(
         powers = (math.prod([two_fl] * n), two_fl ** n)
     except OverflowError:
         powers = (math.inf,)
-    if not all(np.finfo(float).tiny <= p < math.inf for p in powers):
+    if not all(sys.float_info.min <= p < math.inf for p in powers):
         raise FilterDesignError(
             f"loop rate {loop_rate_hz!r} Hz is out of float64 range for order {n}"
         )

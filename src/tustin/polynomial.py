@@ -32,12 +32,12 @@ from typing import Iterable, Sequence
 
 
 def _as_finite_floats(values: Iterable[float]) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
+    out = tuple(map(float, values))
     if not out:
         raise ValueError("polynomial needs at least one coefficient")
-    for v in out:
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite polynomial coefficient: {v!r}")
+    if not all(map(math.isfinite, out)):
+        bad = next(v for v in out if not math.isfinite(v))
+        raise ValueError(f"non-finite polynomial coefficient: {bad!r}")
     return out
 
 

@@ -130,6 +130,15 @@ def test_exit_code_parse_error_for_an_exponent_of_5000_digits(capsys):
     assert err.startswith("error[PARSE]: at byte 5: expected an exponent no greater than 32, ")
 
 
+def test_exit_code_parse_error_for_like_terms_whose_sum_overflows(capsys):
+    code, out, err = run(capsys, "design", "--tf", "1e308 + 1e308", "--rate", "1000")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error[PARSE]: at byte 8: expected a sum of like terms representable as a "
+        "float, found '1e308'\n"
+    )
+
+
 def test_exit_code_noncausal(capsys):
     code, _, err = run(capsys, "design", "--num", "1,0", "--den", "1", "--rate", "1000")
     assert code == 3

@@ -2,13 +2,17 @@
 
 import math
 import random
+import struct
 
 import pytest
 
-from tustin.discretize import FilterDesignError, NonCausalError
+from tustin.discretize import ContinuousTransferFunction, FilterDesignError, NonCausalError
 from tustin.tfparse import (
     MAX_EXPONENT,
     TfSyntaxError,
+    _flat_sides,
+    _parse_coeff_list,
+    _token_sides,
     canonical_text,
     parse_coeff_lists,
     parse_expression,
@@ -206,6 +210,13 @@ def test_truncated_inputs_fail_cleanly():
         ("1/(s+1))", 7, "expected '+', '-', or end of input, found ')'"),
         ("1/(s+1)/(s+2)", 7,
          "expected end of input (only one division is allowed), found '/'"),
+        # like terms whose sum overflows: at the term, or at the group's close
+        ("1e308 + 1e308", 8,
+         "expected a sum of like terms representable as a float, found '1e308'"),
+        ("(1e308s + 1e308s)/(s+1)", 10,
+         "expected a sum of like terms representable as a float, found '1e308'"),
+        ("1e308 + (1e308)", 14,
+         "expected a sum of like terms representable as a float, found ')'"),
     ],
 )
 def test_every_syntax_error_names_its_offset_and_expectation(text, offset, message):
@@ -295,22 +306,70 @@ def test_canonical_text_round_trips_bitwise():
 
 
 ALPHABET = "0123456789.se^*/+-() \t"
+LIST_ALPHABET = "0123456789.eE+-, \t"
+
+# Flat-form corners, each against the token parser; the last three must
+# fall back to it.
+FLAT_EXAMPLES = [
+    "-0.0",
+    "s + -0.0",
+    "(s^007 + 1)/(s^2 + 1)",
+    "2 * s ^ 2 / (s^3 + 1)",
+    "(s - -2)/(s^2 + 1)",
+    "1e5s/(s + 1)",
+    "\t(s + 1)\n/\n ( 2 s^2\t+ 3 ) \n",
+    "1/(s\xa0+ 1)",
+    "1/(s^33 + 1)",
+    "1e308 + 1e308",
+]
+
+
+def outcome(parse, *args):
+    """A parse's coefficient bits, or its exception's type and message."""
+    try:
+        tf = parse(*args)
+    except (TfSyntaxError, FilterDesignError) as exc:
+        return type(exc), str(exc)
+    return [struct.pack("<d", v) for v in tf.numerator.coeffs + tf.denominator.coeffs]
+
+
+def token_parse(text):
+    return ContinuousTransferFunction.from_descending(*_token_sides(text))
+
+
+def field_parse(num_text, den_text):
+    return ContinuousTransferFunction.from_descending(
+        _parse_coeff_list(num_text, "numerator"), _parse_coeff_list(den_text, "denominator")
+    )
 
 
 def test_fuzz_structured_never_crashes():
+    # every input gives what the token parser gives, on either route
     rng = random.Random(7)
     outcomes = {"ok": 0, "syntax": 0, "design": 0}
-    for _ in range(20000):
-        text = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, 24)))
-        try:
-            parse_expression(text)
+    flat = 0
+    texts = FLAT_EXAMPLES + [
+        "".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, 24))) for _ in range(20000)
+    ]
+    for text in texts:
+        got = outcome(parse_expression, text)
+        assert got == outcome(token_parse, text), repr(text)
+        flat += _flat_sides(text) is not None
+        if isinstance(got, list):
             outcomes["ok"] += 1
-        except TfSyntaxError:
+        elif got[0] is TfSyntaxError:
             outcomes["syntax"] += 1
-        except FilterDesignError:
+        else:
             outcomes["design"] += 1
-    # every outcome class must actually occur
+        num, den = (
+            "".join(rng.choice(LIST_ALPHABET) for _ in range(rng.randint(0, 12)))
+            for _ in range(2)
+        )
+        assert outcome(parse_coeff_lists, num, den) == outcome(field_parse, num, den)
+    # every outcome class must actually occur, and both routes must run
     assert all(v > 0 for v in outcomes.values()), outcomes
+    assert flat > 0
+    assert [_flat_sides(text) for text in FLAT_EXAMPLES[-3:]] == [None] * 3
 
 
 def test_fuzz_random_bytes_never_crash():
@@ -319,7 +378,5 @@ def test_fuzz_random_bytes_never_crash():
         text = bytes(rng.randrange(256) for _ in range(rng.randint(1, 16))).decode(
             "latin-1"
         )
-        try:
-            parse_expression(text)
-        except (TfSyntaxError, FilterDesignError):
-            pass
+        assert outcome(parse_expression, text) == outcome(token_parse, text), repr(text)
+        assert outcome(parse_coeff_lists, text, text) == outcome(field_parse, text, text)
