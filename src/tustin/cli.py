@@ -257,7 +257,7 @@ def _band(args: argparse.Namespace, rate: float | None) -> tuple[float, float]:
     # one alike.
     top = 100.0 if rate is None else min(100.0, 0.4 * rate)
     fmin, fmax = getattr(args, "fmin_hz", min(0.1, top / 1000.0)), getattr(args, "fmax_hz", top)
-    if not (0.0 < fmin < fmax):
+    if not (0.0 < fmin < fmax < math.inf):
         raise _UsageError("need 0 < --fmin-hz < --fmax-hz")
     return fmin, fmax
 

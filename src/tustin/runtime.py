@@ -53,12 +53,16 @@ RATE_RTOL = 1e-9
 # to 256.
 BLOCK_LEN = 128
 
-# Blocks per slice of the block products.  One slice for the whole series
-# ran faster (butter2 at 1 kHz, 120k samples: 1.54-2.20 ms against
-# 1.81-2.56 ms on a 2-CPU x86_64), but it changed filter_series' output
-# bits on butter2, notch, leadlag and multiorder at 2M samples of noise
-# (they were equal at 1k and 120k).  64 stays while the outputs are held
-# byte-identical.
+# Blocks per slice of the block products.  Slicing bounds the kernel's
+# temporaries, and so the peak RSS of the CLI; it is not there for the
+# output.  With one slice for the whole series, the written CSVs stayed
+# byte-identical (butter2, notch, leadlag and multiorder at 120k, 2M and 4M
+# samples; some float outputs moved in their last bits at 2M, none in %.9g),
+# but `tustin filter` on a 2M-row sweep peaked at 139-140 MB resident against
+# 124 MB, and `bode --method chirp` of a pid designed at 100 kHz at 710 MB
+# against 689 MB.  The price is speed: that chirp takes 2.9-3.0 s against
+# 2.4-2.7 s with one slice, and filter_series at 2M samples 31.9-32.1 ms
+# against 22.8-25.2 ms (2-CPU x86_64).
 SLICE_BLOCKS = 64
 
 # filter_series runs its blocks only while eps * ||O_y||_inf**2 stays at or

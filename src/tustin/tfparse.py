@@ -29,9 +29,9 @@ in one pass.  A "(" pushes the enclosing sum and the group's sign onto a
 stack of open groups; its ")" pops them and adds the group's sum into the
 enclosing one, power by power and times that sign, as one operand.
 
-Coefficient lists take the same two routes: one match checks a whole list
-of numbers, and a list it refuses is read field by field, which reports the
-first bad field.
+A coefficient list is read field by field: each run of characters between
+commas and ASCII whitespace must be one finite decimal number, and the
+first field that is not is the one reported.
 
 Parsing is total: any input string either yields a transfer function or
 raises TfSyntaxError (or a FilterDesignError when the text is well-formed
@@ -63,17 +63,16 @@ _TOKEN_RE = re.compile(
 
 _UINT_RE = re.compile(r"[0-9]+")
 
-_COEFF = rf"[+-]?{_NUMBER}"
-_COEFF_RE = re.compile(_COEFF)
+_COEFF_RE = re.compile(rf"[+-]?{_NUMBER}")
 
 # What the token parser expects where like terms overflow as they are added.
 _SUM = "a sum of like terms representable as a float"
 
-# The patterns of the two fast routes, compiled by _compiled at their first
-# use.  A side of the flat form: an optional "(" and its ")" around a
-# signed sum of terms.  An exponent has at most two digits after its
-# leading zeros, so int() never sees a long one.  Every piece matches in
-# one way only (no two whitespace runs touch), so a failed match takes
+# The patterns of the flat form and of a list field, compiled by _compiled
+# at their first use.  A side of the flat form: an optional "(" and its ")"
+# around a signed sum of terms.  An exponent has at most two digits after
+# its leading zeros, so int() never sees a long one.  Every piece matches
+# in one way only (no two whitespace runs touch), so a failed match takes
 # linear time.
 _POWER = r"s(?:\s*\^\s*(?:0*[1-9][0-9]?|0+))?"
 _BODY = rf"(?:{_NUMBER}(?:\s*(?:\*\s*)?{_POWER})?|{_POWER})"
@@ -86,15 +85,14 @@ _TERM = rf"\s*([-+]?)\s*([-+]?)\s*({_NUMBER}|(?=s))\s*(?:\*\s*)?(s?)(?:\s*\^\s*0
 # parser's sign and power.  An exponent above MAX_EXPONENT is absent.
 _SIGNS = {"": 1.0, "+": 1.0, "-": -1.0, "++": 1.0, "+-": -1.0, "-+": -1.0, "--": 1.0}
 _POWERS = {"": 0, "s": 1, **{f"s{k}": k for k in range(MAX_EXPONENT + 1)}}
-# A whole coefficient list, and one field of any list.
-_LIST = rf"[\s,]*{_COEFF}(?:[\s,]+{_COEFF})*[\s,]*"
+# One field of a coefficient list.
 _FIELD = r"[^\s,]+"
 
 
 @functools.cache
 def _compiled(pattern: str) -> re.Pattern[str]:
-    # At import, compiling the fast routes' patterns would add about 2 ms
-    # to the start of every process.
+    # At import, compiling the flat form's patterns would add about 2 ms to
+    # the start of every process.
     return re.compile(pattern, re.ASCII)
 
 
@@ -280,19 +278,10 @@ def _parse_coeff_list(text: str, which: str) -> list[float]:
     return out
 
 
-def _coeff_list(text: str, which: str) -> list[float]:
-    # A list of finite numbers in one match; any other text, field by field.
-    if _compiled(_LIST).fullmatch(text):
-        out = list(map(float, _compiled(_FIELD).findall(text)))
-        if all(map(math.isfinite, out)):
-            return out
-    return _parse_coeff_list(text, which)
-
-
 def parse_coeff_lists(num_text: str, den_text: str) -> ContinuousTransferFunction:
     """Parse descending coefficient lists, comma or ASCII-whitespace separated."""
-    num = _coeff_list(num_text, "numerator")
-    den = _coeff_list(den_text, "denominator")
+    num = _parse_coeff_list(num_text, "numerator")
+    den = _parse_coeff_list(den_text, "denominator")
     return ContinuousTransferFunction.from_descending(num, den)
 
 

@@ -224,7 +224,8 @@ def test_chirp_rejects_reversed_band(capsys):
     ["--fmin-hz", "-1", "--fmax-hz", "5"],
     ["--fmin-hz", "0", "--fmax-hz", "5"],
     ["--fmin-hz", "nan", "--fmax-hz", "5"],
-], ids=["reversed", "empty", "negative", "zero", "nan"])
+    ["--fmin-hz", "1", "--fmax-hz", "inf"],
+], ids=["reversed", "empty", "negative", "zero", "nan", "infinite"])
 def test_every_band_path_refuses_a_bad_band_with_one_args_line(
     capsys, butter_file, command, band,
 ):
